@@ -313,7 +313,7 @@ let compile_scheme_cached cas program policy : Simd.Json.t option =
       [
         "bench-static/1";
         Simd.Serve.Protocol.library_version;
-        Simd.Serve.Protocol.config_canonical
+        Simd.Driver.config_to_string
           (config policy Simd.Driver.Software_pipelining);
         Simd.Pp.program_to_string program;
       ]

@@ -30,11 +30,10 @@ let policy_conv =
   Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Simd.Policy.name p))
 
 let reuse_conv =
-  let parse = function
-    | "plain" | "none" -> Ok Simd.Driver.No_reuse
-    | "pc" -> Ok Simd.Driver.Predictive_commoning
-    | "sp" -> Ok Simd.Driver.Software_pipelining
-    | s -> Error (`Msg (Printf.sprintf "unknown reuse strategy %S" s))
+  let parse s =
+    match Simd.Driver.reuse_of_name s with
+    | Some r -> Ok r
+    | None -> Error (`Msg (Printf.sprintf "unknown reuse strategy %S" s))
   in
   Arg.conv
     (parse, fun fmt r -> Format.pp_print_string fmt (Simd.Driver.reuse_name r))

@@ -306,7 +306,7 @@ let ablation_reuse_unroll ~machine ?(spec = Synth.default_spec) ?(count = 20) ()
   let programs = Synth.benchmark ~machine ~spec ~count in
   let rows =
     List.concat_map
-      (fun (reuse, rname) ->
+      (fun reuse ->
         List.map
           (fun unroll ->
             let config =
@@ -319,13 +319,14 @@ let ablation_reuse_unroll ~machine ?(spec = Synth.default_spec) ?(count = 20) ()
               }
             in
             let opd, speedup = mean_opd ~weights:charged ~config programs in
-            { knob = rname; value = Printf.sprintf "unroll=%d" unroll; opd; speedup })
+            {
+              knob = Driver.reuse_name reuse;
+              value = Printf.sprintf "unroll=%d" unroll;
+              opd;
+              speedup;
+            })
           [ 1; 2; 4 ])
-      [
-        (Driver.No_reuse, "plain");
-        (Driver.Predictive_commoning, "pc");
-        (Driver.Software_pipelining, "sp");
-      ]
+      [ Driver.No_reuse; Driver.Predictive_commoning; Driver.Software_pipelining ]
   in
   { title = "Ablation: reuse strategy x unrolling (copies charged at weight 1)";
     rows }

@@ -26,10 +26,24 @@ module Check = Simd_check.Check
 type reuse = No_reuse | Predictive_commoning | Software_pipelining
 [@@deriving show { with_path = false }, eq]
 
-let reuse_name = function
-  | No_reuse -> "plain"
-  | Predictive_commoning -> "pc"
-  | Software_pipelining -> "sp"
+(** Every accepted reuse name; the first name of a strategy is the one
+    {!reuse_name} prints, later ones are aliases. *)
+let reuse_names =
+  [
+    ("plain", No_reuse);
+    ("none", No_reuse);
+    ("pc", Predictive_commoning);
+    ("sp", Software_pipelining);
+  ]
+
+let reuse_name r = fst (List.find (fun (_, r') -> equal_reuse r r') reuse_names)
+let reuse_of_name s = List.assoc_opt s reuse_names
+
+(** Software pipelining is a generation mode; predictive commoning is a
+    post-pass over standard code. *)
+let mode_of_reuse = function
+  | Software_pipelining -> Gen.Pipelined
+  | No_reuse | Predictive_commoning -> Gen.Standard
 
 type config = {
   machine : Simd_machine.Config.t;
@@ -67,6 +81,151 @@ let default =
     peel_baseline = false;
     cleanup = false;
   }
+
+(* ------------------------------------------------------------------ *)
+(* The config vocabulary                                              *)
+(* ------------------------------------------------------------------ *)
+
+type value = Int of int | Bool of bool | Name of string
+
+type field = {
+  key : string;
+  get : config -> value;
+  set : config -> value -> config;
+}
+
+(* Decoders read a value as its field's kind, so [set] meeting another
+   kind is a caller bug. *)
+let mismatch () = invalid_arg "Driver.config_fields: value of another kind"
+
+let int_field key get set =
+  let set c = function Int n -> set c n | _ -> mismatch () in
+  { key; get = (fun c -> Int (get c)); set }
+
+let flag key get set =
+  let set c = function Bool b -> set c b | _ -> mismatch () in
+  { key; get = (fun c -> Bool (get c)); set }
+
+let name_field key ~what get of_name set =
+  let set c = function
+    | Name s -> (
+      match of_name s with
+      | Some x -> set c x
+      | None -> invalid_arg (Printf.sprintf "unknown %s %S" what s))
+    | _ -> mismatch ()
+  in
+  { key; get = (fun c -> Name (get c)); set }
+
+(** One row per {!config} field except the machine's cost weights, in
+    canonical order. *)
+let config_fields =
+  [
+    int_field "vl"
+      (fun c -> Simd_machine.Config.vector_len c.machine)
+      (fun c vector_len ->
+        { c with machine = Simd_machine.Config.create ~vector_len });
+    name_field "policy" ~what:"policy"
+      (fun c -> Policy.name c.policy)
+      Policy.of_name
+      (fun c policy -> { c with policy });
+    name_field "reuse" ~what:"reuse strategy"
+      (fun c -> reuse_name c.reuse)
+      reuse_of_name
+      (fun c reuse -> { c with reuse });
+    flag "memnorm" (fun c -> c.memnorm) (fun c memnorm -> { c with memnorm });
+    flag "reassoc" (fun c -> c.reassoc) (fun c reassoc -> { c with reassoc });
+    flag "cse" (fun c -> c.cse) (fun c cse -> { c with cse });
+    flag "hoist"
+      (fun c -> c.hoist_splats)
+      (fun c b -> { c with hoist_splats = b });
+    int_field "unroll" (fun c -> c.unroll) (fun c unroll -> { c with unroll });
+    flag "specialize"
+      (fun c -> c.specialize_epilogue)
+      (fun c b -> { c with specialize_epilogue = b });
+    flag "peel"
+      (fun c -> c.peel_baseline)
+      (fun c b -> { c with peel_baseline = b });
+    flag "cleanup" (fun c -> c.cleanup) (fun c cleanup -> { c with cleanup });
+  ]
+
+let config_to_string c =
+  let text = function
+    | Int n -> string_of_int n
+    | Bool b -> if b then "1" else "0"
+    | Name s -> s
+  in
+  String.concat " "
+    (List.map (fun f -> f.key ^ "=" ^ text (f.get c)) config_fields)
+
+let value_of_string like s =
+  match (like, s) with
+  | Int _, _ -> Option.map (fun n -> Int n) (int_of_string_opt s)
+  | Bool _, ("0" | "false") -> Some (Bool false)
+  | Bool _, ("1" | "true") -> Some (Bool true)
+  | Bool _, _ -> None
+  | Name _, _ -> Some (Name s)
+
+let update_config ~read config pairs =
+  let kind = function
+    | Int _ -> "integer"
+    | Bool _ -> "boolean"
+    | Name _ -> "string"
+  in
+  let apply c (key, raw) =
+    match List.find_opt (fun f -> f.key = key) config_fields with
+    | None -> invalid_arg (Printf.sprintf "unknown config field %S" key)
+    | Some f -> (
+      let like = f.get c in
+      match read like raw with
+      | Some v -> f.set c v
+      | None ->
+        invalid_arg
+          (Printf.sprintf "config field %s: expected %s" key (kind like)))
+  in
+  match List.fold_left apply config pairs with
+  | c -> Ok c
+  | exception Invalid_argument m -> Error m
+
+(* ------------------------------------------------------------------ *)
+(* The optional passes                                                *)
+(* ------------------------------------------------------------------ *)
+
+type pass = {
+  name : string;
+  charter : string;
+  enabled : config -> bool;
+  disable : config -> config;
+}
+
+let pass name charter enabled disable = { name; charter; enabled; disable }
+
+(** The config-gated passes in application order, named as their trace
+    events are. [reassoc] rewrites the scalar AST before placement; the
+    rest transform the generated vector IR ({!run_passes}). *)
+let passes =
+  [
+    pass "reassoc" "common-offset reassociation of the scalar AST (§5.5)"
+      (fun c -> c.reassoc) (fun c -> { c with reassoc = false });
+    pass "hoist_splats" "loop-invariant vsplat hoisting into the prologue"
+      (fun c -> c.hoist_splats) (fun c -> { c with hoist_splats = false });
+    pass "memnorm" "load-address normalization to V-aligned chunks"
+      (fun c -> c.memnorm) (fun c -> { c with memnorm = false });
+    pass "cse" "local value numbering (three-address form)"
+      (fun c -> c.cse) (fun c -> { c with cse = false });
+    pass "predictive_commoning" "cross-iteration value reuse via carried temps"
+      (fun c -> c.reuse = Predictive_commoning)
+      (fun c ->
+        if c.reuse = Predictive_commoning then { c with reuse = No_reuse } else c);
+    pass "unroll" "steady-body unrolling with seam-restore coalescing (§4.5)"
+      (fun c -> c.unroll > 1) (fun c -> { c with unroll = 1 });
+    pass "specialize_epilogue" "guard folding for compile-time trip counts"
+      (fun c -> c.specialize_epilogue)
+      (fun c -> { c with specialize_epilogue = false });
+    pass "vir_cleanup"
+      "dataflow-backed cleanup: copy propagation, shift combining, invariant \
+       hoisting, DCE"
+      (fun c -> c.cleanup) (fun c -> { c with cleanup = false });
+  ]
 
 (** Why a loop was left scalar. *)
 type reason =
@@ -402,11 +561,7 @@ let simdize ?(trace = Trace.none) ?(check = false) (config : config)
              shared);
       if check then record_check "placement" (Check.check_graphs ~analysis graphs);
       let policies_used = List.map (fun (_, _, p) -> p) placed in
-      let mode =
-        match config.reuse with
-        | Software_pipelining -> Gen.Pipelined
-        | No_reuse | Predictive_commoning -> Gen.Standard
-      in
+      let mode = mode_of_reuse config.reuse in
       let names = Names.create () in
       match Gen.generate ~analysis ~names ~mode graphs with
       | Error (Gen.Trip_too_small { trip; needed }) ->

@@ -20,6 +20,14 @@ type reuse = No_reuse | Predictive_commoning | Software_pipelining
 [@@deriving show, eq]
 
 val reuse_name : reuse -> string
+(** [plain], [pc] or [sp]. *)
+
+val reuse_of_name : string -> reuse option
+(** Inverts {!reuse_name} and also accepts [none] for [No_reuse]. *)
+
+val mode_of_reuse : reuse -> Gen.mode
+(** Software pipelining is a generation mode; predictive commoning is a
+    post-pass over standard code. *)
 
 type config = {
   machine : Simd_machine.Config.t;
@@ -40,6 +48,58 @@ type config = {
 val default : config
 (** 16-byte machine, dominant-shift, software pipelining, MemNorm + CSE +
     splat hoisting on, no reassociation, no unrolling. *)
+
+(** {1 The config vocabulary}
+
+    One codec for every external form of a {!config}: reproducer headers,
+    serve requests and serve cache keys all go through {!config_fields}. *)
+
+(** A field value; its constructor is the field's kind. *)
+type value = Int of int | Bool of bool | Name of string
+
+type field = {
+  key : string;
+  get : config -> value;
+  set : config -> value -> config;
+      (** raises [Invalid_argument] on an unknown policy or reuse name, an
+          unsupported vector length, or a value of another kind *)
+}
+
+val config_fields : field list
+(** [vl policy reuse memnorm reassoc cse hoist unroll specialize peel
+    cleanup], in canonical order. Setting [vl] resets the machine's cost
+    weights, which are not a field. *)
+
+val config_to_string : config -> string
+(** The canonical [key=value] line, booleans as [0]/[1]; two configs with
+    the same cost weights are equal iff their lines are. *)
+
+val value_of_string : value -> string -> value option
+(** [value_of_string like s] — [s] read as a value of [like]'s kind
+    ([false]/[true] are booleans too); inverts {!config_to_string}. *)
+
+val update_config :
+  read:(value -> 'raw -> value option) ->
+  config ->
+  (string * 'raw) list ->
+  (config, string) result
+(** [config] with each [(key, raw)] pair applied in order, [read like raw]
+    reading [raw] as a value of [like]'s kind. The error names the first
+    unknown key, unreadable value or rejected value. *)
+
+(** {1 The optional passes} *)
+
+type pass = {
+  name : string;  (** the name of its trace events *)
+  charter : string;
+  enabled : config -> bool;
+  disable : config -> config;  (** the identity when already off *)
+}
+
+val passes : pass list
+(** The config-gated passes in application order: [reassoc],
+    [hoist_splats], [memnorm], [cse], [predictive_commoning], [unroll],
+    [specialize_epilogue], [vir_cleanup]. *)
 
 type reason =
   | Illegal of Analysis.error
@@ -87,9 +147,8 @@ val run_passes :
 (** The optimization-pass pipeline alone (hoisting, MemNorm, CSE,
     predictive commoning, unrolling, epilogue derivation, reduction
     finalization, DCE) applied to a freshly generated program.
-    [on_stage] fires after every stage with the pipeline state — the
-    driver's own boundary checking and {!Retarget}'s re-instantiation
-    both hang off it. *)
+    [on_stage] fires after every stage with the pipeline state; the
+    driver's own boundary checking hangs off it. *)
 
 val simdize : ?trace:Trace.t -> ?check:bool -> config -> Ast.program -> result
 (** The whole pipeline. [?trace] (default {!Simd_trace.Trace.none})

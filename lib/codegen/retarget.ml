@@ -195,11 +195,7 @@ let generate_and_optimize ~trace ~check ~analysis (config : Driver.config)
   let checks = ref [] in
   let record name r = checks := (name, r) :: !checks in
   if check then record "retarget-placement" (Check.check_graphs ~analysis graphs);
-  let mode =
-    match config.Driver.reuse with
-    | Driver.Software_pipelining -> Gen.Pipelined
-    | Driver.No_reuse | Driver.Predictive_commoning -> Gen.Standard
-  in
+  let mode = Driver.mode_of_reuse config.Driver.reuse in
   let names = Names.create () in
   match Gen.generate ~analysis ~names ~mode graphs with
   | Error e -> Error e

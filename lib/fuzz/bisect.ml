@@ -13,7 +13,6 @@
     IR shape. *)
 
 module Driver = Simd_codegen.Driver
-module Trace = Simd_trace.Trace
 
 type verdict =
   | First_diverging of string
@@ -34,46 +33,13 @@ let verdict_name = function
 
 let pp_verdict fmt v = Format.pp_print_string fmt (verdict_name v)
 
-(* [disable_from config names] — turn off every pass in [names]. A pass
-   absent from the case's configuration (pc when reuse isn't pc, unroll at
-   factor 1) is already off; disabling it is the identity, which is what
-   keeps prefix semantics honest. *)
-let disable name (c : Driver.config) : Driver.config =
-  match name with
-  | "reassoc" -> { c with Driver.reassoc = false }
-  | "hoist_splats" -> { c with Driver.hoist_splats = false }
-  | "memnorm" -> { c with Driver.memnorm = false }
-  | "cse" -> { c with Driver.cse = false }
-  | "predictive_commoning" ->
-    if c.Driver.reuse = Driver.Predictive_commoning then
-      { c with Driver.reuse = Driver.No_reuse }
-    else c
-  | "unroll" -> { c with Driver.unroll = 1 }
-  | "specialize_epilogue" -> { c with Driver.specialize_epilogue = false }
-  | "vir_cleanup" -> { c with Driver.cleanup = false }
-  | _ -> invalid_arg ("Bisect.disable: unknown pass " ^ name)
-
-(* Is this pass actually on in the case's configuration? Disabled passes
-   cannot be culprits and are skipped when reporting. *)
-let enabled_in (c : Driver.config) name =
-  match name with
-  | "reassoc" -> c.Driver.reassoc
-  | "hoist_splats" -> c.Driver.hoist_splats
-  | "memnorm" -> c.Driver.memnorm
-  | "cse" -> c.Driver.cse
-  | "predictive_commoning" -> c.Driver.reuse = Driver.Predictive_commoning
-  | "unroll" -> c.Driver.unroll > 1
-  | "specialize_epilogue" -> c.Driver.specialize_epilogue
-  | "vir_cleanup" -> c.Driver.cleanup
-  | _ -> false
-
 let with_prefix (case : Case.t) k : Case.t =
-  (* keep the first [k] pipeline passes at the case's setting, disable the
-     rest *)
-  let _, config =
+  (* keep the first [k] passes at the case's setting, disable the rest *)
+  let config =
     List.fold_left
-      (fun (i, c) name -> (i + 1, if i < k then c else disable name c))
-      (0, case.Case.config) Trace.pass_names
+      (fun c (p : Driver.pass) -> p.disable c)
+      case.Case.config
+      (List.filteri (fun i _ -> i >= k) Driver.passes)
   in
   { case with Case.config }
 
@@ -86,7 +52,7 @@ let run ?(on_step = fun _ _ -> ()) (case : Case.t) : verdict =
     on_step k o;
     o
   in
-  let n = List.length Trace.pass_names in
+  let n = List.length Driver.passes in
   if not (Oracle.is_failure (outcome_at n)) then Vanished
   else if Oracle.is_failure (outcome_at 0) then Core
   else begin
@@ -101,7 +67,7 @@ let run ?(on_step = fun _ _ -> ()) (case : Case.t) : verdict =
            rules out *)
         assert false
       else if Oracle.is_failure (outcome_at k) then
-        List.nth Trace.pass_names (k - 1)
+        (List.nth Driver.passes (k - 1)).Driver.name
       else scan (k + 1)
     in
     (* The flip pass is necessarily enabled in the case's configuration:

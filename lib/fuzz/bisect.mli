@@ -4,7 +4,7 @@
     Every optional pass of the driver pipeline is config-gated, so
     bisection needs no driver surgery: it re-runs the differential oracle
     on the same case with config prefixes of
-    {!Simd_trace.Trace.pass_names} in application order, and reports the
+    {!Simd_codegen.Driver.passes} in application order, and reports the
     first prefix length whose enablement flips the verdict from pass to
     failure. At most [n + 1] oracle runs per case, each a full
     scalar-vs-simd differential check. *)
@@ -22,17 +22,9 @@ type verdict =
 val verdict_name : verdict -> string
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val disable : string -> Simd_codegen.Driver.config -> Simd_codegen.Driver.config
-(** [disable pass config] — [config] with the named pipeline pass turned
-    off. Disabling a pass the configuration never enabled is the identity.
-    Raises [Invalid_argument] on an unknown pass name. *)
-
-val enabled_in : Simd_codegen.Driver.config -> string -> bool
-(** Is the named pipeline pass actually on in this configuration? *)
-
 val with_prefix : Case.t -> int -> Case.t
 (** [with_prefix case k] — the case reconfigured to run only the first [k]
-    pipeline passes (the rest disabled). *)
+    of {!Simd_codegen.Driver.passes} (the rest disabled). *)
 
 val run : ?on_step:(int -> Oracle.outcome -> unit) -> Case.t -> verdict
 (** Bisect a failing case. Deterministic: same case, same verdict.

@@ -10,18 +10,19 @@
     {v
       // simd-fuzz reproducer
       // fuzz-config: vl=16 policy=dominant reuse=sp memnorm=1 reassoc=0
-      //              cse=1 hoist=1 unroll=2 specialize=1 peel=0 seed=77
+      //              cse=1 hoist=1 unroll=2 specialize=1 peel=0 cleanup=0
+      //              seed=77
       // fuzz-trip: 40
       int32 y1[44] @ 4;
       ...
     v}
 
-    (The [fuzz-config] line is a single line in practice; [fuzz-trip] is
-    present only for runtime-bound loops.) *)
+    (The [fuzz-config] line is a single line in practice: the canonical
+    {!Simd_codegen.Driver.config_to_string} line plus [seed]. [fuzz-trip]
+    is present only for runtime-bound loops.) *)
 
 open Simd_loopir
 module Driver = Simd_codegen.Driver
-module Policy = Simd_dreorg.Policy
 
 type t = {
   program : Ast.program;
@@ -40,33 +41,6 @@ let effective_trip (c : t) =
     | None -> invalid_arg "Case.effective_trip: runtime trip without a value")
 
 (* ------------------------------------------------------------------ *)
-(* Config field names                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let reuse_of_name = function
-  | "plain" -> Some Driver.No_reuse
-  | "pc" -> Some Driver.Predictive_commoning
-  | "sp" -> Some Driver.Software_pipelining
-  | _ -> None
-
-let bool_field b = if b then "1" else "0"
-
-let config_to_string (cfg : Driver.config) =
-  Printf.sprintf
-    "vl=%d policy=%s reuse=%s memnorm=%s reassoc=%s cse=%s hoist=%s \
-     unroll=%d specialize=%s peel=%s cleanup=%s"
-    (Simd_machine.Config.vector_len cfg.Driver.machine)
-    (Policy.name cfg.Driver.policy)
-    (Driver.reuse_name cfg.Driver.reuse)
-    (bool_field cfg.Driver.memnorm) (bool_field cfg.Driver.reassoc)
-    (bool_field cfg.Driver.cse)
-    (bool_field cfg.Driver.hoist_splats)
-    cfg.Driver.unroll
-    (bool_field cfg.Driver.specialize_epilogue)
-    (bool_field cfg.Driver.peel_baseline)
-    (bool_field cfg.Driver.cleanup)
-
-(* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -74,7 +48,8 @@ let to_string (c : t) =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "// simd-fuzz reproducer\n";
   Buffer.add_string buf
-    (Printf.sprintf "// fuzz-config: %s seed=%d\n" (config_to_string c.config)
+    (Printf.sprintf "// fuzz-config: %s seed=%d\n"
+       (Driver.config_to_string c.config)
        c.setup_seed);
   (match c.trip with
   | Some t -> Buffer.add_string buf (Printf.sprintf "// fuzz-trip: %d\n" t)
@@ -93,38 +68,10 @@ let parse_kv token =
       String.sub token (i + 1) (String.length token - i - 1) )
   | None -> fail "malformed field %S (expected key=value)" token
 
-let parse_bool key = function
-  | "0" | "false" -> false
-  | "1" | "true" -> true
-  | v -> fail "field %s: expected boolean, got %S" key v
-
 let parse_int key v =
   match int_of_string_opt v with
   | Some n -> n
   | None -> fail "field %s: expected integer, got %S" key v
-
-let apply_field (cfg, seed) (key, v) =
-  let open Driver in
-  match key with
-  | "vl" -> ({ cfg with machine = Simd_machine.Config.create ~vector_len:(parse_int key v) }, seed)
-  | "policy" -> (
-    match Policy.of_name v with
-    | Some p -> ({ cfg with policy = p }, seed)
-    | None -> fail "unknown policy %S" v)
-  | "reuse" -> (
-    match reuse_of_name v with
-    | Some r -> ({ cfg with reuse = r }, seed)
-    | None -> fail "unknown reuse strategy %S" v)
-  | "memnorm" -> ({ cfg with memnorm = parse_bool key v }, seed)
-  | "reassoc" -> ({ cfg with reassoc = parse_bool key v }, seed)
-  | "cse" -> ({ cfg with cse = parse_bool key v }, seed)
-  | "hoist" -> ({ cfg with hoist_splats = parse_bool key v }, seed)
-  | "unroll" -> ({ cfg with unroll = parse_int key v }, seed)
-  | "specialize" -> ({ cfg with specialize_epilogue = parse_bool key v }, seed)
-  | "peel" -> ({ cfg with peel_baseline = parse_bool key v }, seed)
-  | "cleanup" -> ({ cfg with cleanup = parse_bool key v }, seed)
-  | "seed" -> (cfg, parse_int key v)
-  | _ -> fail "unknown field %S" key
 
 let header_payload ~prefix line =
   let line = String.trim line in
@@ -144,16 +91,18 @@ let of_string src : (t, string) result =
       (fun line ->
         (match header_payload ~prefix:"// fuzz-config:" line with
         | Some payload ->
-          let tokens =
-            List.filter (fun s -> s <> "") (String.split_on_char ' ' payload)
+          let seeds, fields =
+            String.split_on_char ' ' payload
+            |> List.filter (fun s -> s <> "")
+            |> List.map parse_kv
+            |> List.partition (fun (key, _) -> key = "seed")
           in
-          let cfg', seed' =
-            List.fold_left
-              (fun acc tok -> apply_field acc (parse_kv tok))
-              (!cfg, !seed) tokens
-          in
-          cfg := cfg';
-          seed := seed'
+          List.iter (fun (key, v) -> seed := parse_int key v) seeds;
+          (match
+             Driver.update_config ~read:Driver.value_of_string !cfg fields
+           with
+          | Ok c -> cfg := c
+          | Error m -> raise (Bad_header m))
         | None -> ());
         match header_payload ~prefix:"// fuzz-trip:" line with
         | Some payload -> trip := Some (parse_int "fuzz-trip" payload)
@@ -189,7 +138,8 @@ let of_file path : (t, string) result =
   | Error m -> Error (Printf.sprintf "%s: %s" path m)
 
 let pp fmt (c : t) =
-  Format.fprintf fmt "config: %s seed=%d%s@\n%a" (config_to_string c.config)
+  Format.fprintf fmt "config: %s seed=%d%s@\n%a"
+    (Driver.config_to_string c.config)
     c.setup_seed
     (match c.trip with Some t -> Printf.sprintf " trip=%d" t | None -> "")
     Pp.pp_program c.program

@@ -17,9 +17,6 @@ val effective_trip : t -> int
 (** The trip count the simulation runs with. Raises [Invalid_argument] on a
     runtime-bound case with no trip value. *)
 
-val reuse_of_name : string -> Simd_codegen.Driver.reuse option
-val config_to_string : Simd_codegen.Driver.config -> string
-
 val to_string : t -> string
 val of_string : string -> (t, string) result
 

@@ -200,16 +200,7 @@ let array_variants (c : Case.t) : Case.t list =
     (at_each p.Ast.arrays decl_variants)
 
 (* Lower-is-simpler ranks: only strictly descending moves are proposed, so
-   the shrink loop cannot cycle. *)
-let policy_rank = function
-  | Policy.Zero -> 0
-  | Policy.Eager -> 1
-  | Policy.Lazy -> 2
-  | Policy.Dominant -> 3
-  | Policy.Optimal -> 4
-  | Policy.Auto -> 5
-  | Policy.Joint -> 6
-
+   the shrink loop cannot cycle. Policies rank in declaration order. *)
 let reuse_rank = function
   | Driver.No_reuse -> 0
   | Driver.Predictive_commoning -> 1
@@ -219,35 +210,22 @@ let config_variants (c : Case.t) : Case.t list =
   let cfg = c.Case.config in
   let open Driver in
   let with_cfg config = { c with Case.config } in
-  List.map with_cfg
+  (* [dedup]: disabling predictive commoning is also a reuse-ladder step *)
+  List.map with_cfg @@ Util.dedup
     (List.filter_map
        (fun p ->
-         if policy_rank p < policy_rank cfg.policy then Some { cfg with policy = p }
+         if Policy.compare p cfg.policy < 0 then Some { cfg with policy = p }
          else None)
-       [
-         Policy.Zero;
-         Policy.Eager;
-         Policy.Lazy;
-         Policy.Dominant;
-         Policy.Optimal;
-         Policy.Auto;
-       ]
+       Policy.all
     @ List.filter_map
         (fun r ->
           if reuse_rank r < reuse_rank cfg.reuse then Some { cfg with reuse = r }
           else None)
         [ No_reuse; Predictive_commoning ]
-    @ (if cfg.memnorm then [ { cfg with memnorm = false } ] else [])
-    @ (if cfg.reassoc then [ { cfg with reassoc = false } ] else [])
-    @ (if cfg.cse then [ { cfg with cse = false } ] else [])
-    @ (if cfg.hoist_splats then [ { cfg with hoist_splats = false } ] else [])
-    @ (if cfg.unroll > 1 then
-         List.map (fun u -> { cfg with unroll = u })
-           (Util.dedup [ 1; cfg.unroll - 1 ])
-       else [])
-    @ (if cfg.specialize_epilogue then
-         [ { cfg with specialize_epilogue = false } ]
-       else [])
+    @ List.filter_map
+        (fun p -> if p.enabled cfg then Some (p.disable cfg) else None)
+        passes
+    @ (if cfg.unroll > 2 then [ { cfg with unroll = cfg.unroll - 1 } ] else [])
     @ (if cfg.peel_baseline then [ { cfg with peel_baseline = false } ] else [])
     @
     let vl = Simd_machine.Config.vector_len cfg.machine in

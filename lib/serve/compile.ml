@@ -141,7 +141,7 @@ let cache_key (r : Protocol.request) =
   Cas.key
     [
       Protocol.library_version;
-      Protocol.config_canonical r.Protocol.config;
+      Driver.config_to_string r.Protocol.config;
       String.concat "," (List.map Protocol.emit_name r.Protocol.emits);
       r.Protocol.source;
     ]

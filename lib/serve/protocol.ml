@@ -1,8 +1,6 @@
 (** Wire protocol of the compile service (see the interface). *)
 
 module Driver = Simd_codegen.Driver
-module Policy = Simd_dreorg.Policy
-module Machine = Simd_machine.Config
 module Json = Simd_support.Json
 
 let schema = "simd-serve/1"
@@ -46,101 +44,36 @@ type parsed =
   | Malformed of { id : string option; message : string }
 
 (* ------------------------------------------------------------------ *)
-(* Config codec: the fuzz-header field vocabulary, as JSON             *)
+(* Config codec: the driver's config vocabulary, as JSON              *)
 (* ------------------------------------------------------------------ *)
 
-let reuse_name = Driver.reuse_name
+let json_of_value = function
+  | Driver.Int n -> Json.Int n
+  | Driver.Bool b -> Json.Bool b
+  | Driver.Name s -> Json.String s
 
-let reuse_of_name = function
-  | "plain" | "none" -> Some Driver.No_reuse
-  | "pc" -> Some Driver.Predictive_commoning
-  | "sp" -> Some Driver.Software_pipelining
+let value_of_json (like : Driver.value) j =
+  match (like, j) with
+  | Driver.Int _, Json.Int n -> Some (Driver.Int n)
+  | Driver.Bool _, _ -> Option.map (fun b -> Driver.Bool b) (Json.to_bool_opt j)
+  | Driver.Name _, Json.String s -> Some (Driver.Name s)
   | _ -> None
 
 let config_to_json (cfg : Driver.config) =
   Json.Obj
-    [
-      ("vl", Json.Int (Machine.vector_len cfg.Driver.machine));
-      ("policy", Json.String (Policy.name cfg.Driver.policy));
-      ("reuse", Json.String (reuse_name cfg.Driver.reuse));
-      ("memnorm", Json.Bool cfg.Driver.memnorm);
-      ("reassoc", Json.Bool cfg.Driver.reassoc);
-      ("cse", Json.Bool cfg.Driver.cse);
-      ("hoist", Json.Bool cfg.Driver.hoist_splats);
-      ("unroll", Json.Int cfg.Driver.unroll);
-      ("specialize", Json.Bool cfg.Driver.specialize_epilogue);
-      ("peel", Json.Bool cfg.Driver.peel_baseline);
-      ("cleanup", Json.Bool cfg.Driver.cleanup);
-    ]
+    (List.map
+       (fun (f : Driver.field) -> (f.key, json_of_value (f.get cfg)))
+       Driver.config_fields)
+
+let config_of_json = function
+  | Json.Obj fields ->
+    Driver.update_config ~read:value_of_json Driver.default fields
+  | Json.Null -> Ok Driver.default
+  | _ -> Error "config: expected an object"
 
 exception Bad_field of string
 
 let bad fmt = Printf.ksprintf (fun m -> raise (Bad_field m)) fmt
-
-let as_int key = function
-  | Json.Int n -> n
-  | _ -> bad "config field %s: expected integer" key
-
-let as_bool key v =
-  match Json.to_bool_opt v with
-  | Some b -> b
-  | None -> bad "config field %s: expected boolean" key
-
-let as_string key = function
-  | Json.String s -> s
-  | _ -> bad "config field %s: expected string" key
-
-let apply_config_field cfg (key, v) =
-  let open Driver in
-  match key with
-  | "vl" -> (
-    match Machine.create ~vector_len:(as_int key v) with
-    | machine -> { cfg with machine }
-    | exception Invalid_argument m -> bad "%s" m)
-  | "policy" -> (
-    let name = as_string key v in
-    match Policy.of_name name with
-    | Some p -> { cfg with policy = p }
-    | None -> bad "unknown policy %S" name)
-  | "reuse" -> (
-    let name = as_string key v in
-    match reuse_of_name name with
-    | Some r -> { cfg with reuse = r }
-    | None -> bad "unknown reuse strategy %S" name)
-  | "memnorm" -> { cfg with memnorm = as_bool key v }
-  | "reassoc" -> { cfg with reassoc = as_bool key v }
-  | "cse" -> { cfg with cse = as_bool key v }
-  | "hoist" -> { cfg with hoist_splats = as_bool key v }
-  | "unroll" -> { cfg with unroll = as_int key v }
-  | "specialize" -> { cfg with specialize_epilogue = as_bool key v }
-  | "peel" -> { cfg with peel_baseline = as_bool key v }
-  | "cleanup" -> { cfg with cleanup = as_bool key v }
-  | _ -> bad "unknown config field %S" key
-
-let config_of_json = function
-  | Json.Obj fields -> (
-    try Ok (List.fold_left apply_config_field Driver.default fields)
-    with Bad_field m -> Error m)
-  | Json.Null -> Ok Driver.default
-  | _ -> Error "config: expected an object"
-
-let bool_field b = if b then "1" else "0"
-
-let config_canonical (cfg : Driver.config) =
-  Printf.sprintf
-    "vl=%d policy=%s reuse=%s memnorm=%s reassoc=%s cse=%s hoist=%s \
-     unroll=%d specialize=%s peel=%s cleanup=%s"
-    (Machine.vector_len cfg.Driver.machine)
-    (Policy.name cfg.Driver.policy)
-    (reuse_name cfg.Driver.reuse)
-    (bool_field cfg.Driver.memnorm)
-    (bool_field cfg.Driver.reassoc)
-    (bool_field cfg.Driver.cse)
-    (bool_field cfg.Driver.hoist_splats)
-    cfg.Driver.unroll
-    (bool_field cfg.Driver.specialize_epilogue)
-    (bool_field cfg.Driver.peel_baseline)
-    (bool_field cfg.Driver.cleanup)
 
 (* ------------------------------------------------------------------ *)
 (* Request parsing                                                     *)

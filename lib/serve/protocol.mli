@@ -13,9 +13,8 @@
     v}
 
     Every [config] field is optional and defaults to the driver default;
-    the field names and values are exactly the fuzz-header vocabulary of
-    [docs/LANGUAGE.md] ([vl], [policy], [reuse], [memnorm], [reassoc],
-    [cse], [hoist], [unroll], [specialize], [peel]). [emit] selects the
+    the field names and values are {!Driver.config_fields}, the
+    vocabulary of the fuzz header in [docs/LANGUAGE.md]. [emit] selects the
     artifact's code sections from ["vir"], ["c"], ["altivec"], ["sse"],
     ["avx2"], ["neon"] (default [["vir","c"]]). An ISA emit whose native
     vector length differs from the request's [vl] yields a skipped-output
@@ -68,16 +67,13 @@ type parsed =
 val parse_line : string -> parsed
 
 val config_of_json : Json.t -> (Driver.config, string) result
-(** Read a config object (all fields optional over [Driver.default]).
+(** Read a config object (all fields optional over [Driver.default])
+    through {!Driver.config_fields}. Booleans may be written [0]/[1].
     Rejects unknown fields — a typo must not silently compile under
     defaults. *)
 
 val config_to_json : Driver.config -> Json.t
 (** Full field set, canonical order — [config_of_json] inverts it. *)
-
-val config_canonical : Driver.config -> string
-(** Canonical [key=value] line for cache keys: two configs compare equal
-    iff their canonical strings do. *)
 
 val request_to_line : request -> string
 (** The request rendered as one protocol line (load generator, tests). *)

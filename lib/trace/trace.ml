@@ -30,31 +30,6 @@ module Cost = Simd_opt.Cost
 module Diff = Diff
 
 (* ------------------------------------------------------------------ *)
-(* The pass registry                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(** The config-gated passes of the driver pipeline, in application order —
-    the single source of truth shared by the driver's tracing, the fuzz
-    bisector ({!Simd_fuzz.Bisect}), and the generated documentation.
-    [reassoc] runs on the scalar AST before placement; the rest transform
-    the generated vector IR. *)
-let pipeline : (string * string) list =
-  [
-    ("reassoc", "common-offset reassociation of the scalar AST (§5.5)");
-    ("hoist_splats", "loop-invariant vsplat hoisting into the prologue");
-    ("memnorm", "load-address normalization to V-aligned chunks");
-    ("cse", "local value numbering (three-address form)");
-    ("predictive_commoning", "cross-iteration value reuse via carried temps");
-    ("unroll", "steady-body unrolling with seam-restore coalescing (§4.5)");
-    ("specialize_epilogue", "guard folding for compile-time trip counts");
-    ( "vir_cleanup",
-      "dataflow-backed cleanup: copy propagation, shift combining, \
-       invariant hoisting, DCE" );
-  ]
-
-let pass_names = List.map fst pipeline
-
-(* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -120,7 +95,7 @@ type event =
   | Generated of { mode : string; snap : snapshot }
       (** initial vector IR out of [Gen.generate] *)
   | Pass of {
-      name : string;  (** a {!pipeline} name or a structural stage *)
+      name : string;  (** a [Driver.passes] name or a structural stage *)
       enabled : bool;  (** configured to run? (skips are recorded) *)
       before : snapshot;
       after : snapshot;

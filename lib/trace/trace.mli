@@ -19,16 +19,6 @@
 
 module Diff = Diff
 
-(** {1 The pass registry} *)
-
-val pipeline : (string * string) list
-(** The config-gated passes of the driver pipeline in application order,
-    each with a one-line charter — the shared vocabulary between the
-    driver's trace events, the fuzz bisector, and the documentation. *)
-
-val pass_names : string list
-(** [List.map fst pipeline]. *)
-
 (** {1 Snapshots} *)
 
 (** One IR region, pretty-printed plus statically counted. *)
@@ -81,7 +71,9 @@ type event =
   | Generated of { mode : string; snap : snapshot }
       (** initial vector IR out of code generation *)
   | Pass of {
-      name : string;  (** a {!pipeline} name or a structural stage *)
+      name : string;
+          (** a config-gated pass ([Simd_codegen.Driver.passes]) or a
+              structural stage *)
       enabled : bool;  (** configured to run? (skips are recorded too) *)
       before : snapshot;
       after : snapshot;

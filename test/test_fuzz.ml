@@ -47,13 +47,48 @@ let test_case_roundtrip () =
       check_bool "program round trips" true
         (Ast.equal_program case.Fuzz.Case.program case'.Fuzz.Case.program);
       check_bool "config round trips" true
-        (Fuzz.Case.config_to_string case.Fuzz.Case.config
-        = Fuzz.Case.config_to_string case'.Fuzz.Case.config);
+        (case.Fuzz.Case.config = case'.Fuzz.Case.config);
       check_bool "trip round trips" true
         (case.Fuzz.Case.trip = case'.Fuzz.Case.trip);
       check_int "seed round trips" case.Fuzz.Case.setup_seed
         case'.Fuzz.Case.setup_seed
   done
+
+let codec_source =
+  "int32 a[64] @ 0;\nint32 b[64] @ 4;\nfor (i = 0; i < 40; i++) {\n  \
+   a[i] = b[i+1];\n}\n"
+
+(* Both config codecs invert their printers over the sampled config space,
+   compared as whole records: a field that the printer and the parser both
+   forgot would survive a comparison of printed lines. *)
+let test_config_codecs_roundtrip () =
+  let prng = Prng.create ~seed:13 in
+  let program = Parse.program_of_string codec_source in
+  for i = 0 to 511 do
+    let machine = Fuzz.Genloop.gen_machine prng in
+    let config =
+      {
+        (Fuzz.Genloop.gen_config prng ~machine) with
+        Driver.cleanup = i land 1 = 1;
+        peel_baseline = i land 2 = 2;
+      }
+    in
+    let case = { Fuzz.Case.program; config; trip = None; setup_seed = i } in
+    (match Fuzz.Case.of_string (Fuzz.Case.to_string case) with
+    | Ok c -> check_bool "header round trip" true (c.Fuzz.Case.config = config)
+    | Error m -> Alcotest.failf "header did not re-parse: %s" m);
+    match Serve.Protocol.config_of_json (Serve.Protocol.config_to_json config) with
+    | Ok c -> check_bool "json round trip" true (c = config)
+    | Error m -> Alcotest.failf "json did not re-parse: %s" m
+  done
+
+(* [none] is an alias of [plain] everywhere a reuse name is read. *)
+let test_header_reuse_none () =
+  match Fuzz.Case.of_string ("// fuzz-config: reuse=none\n" ^ codec_source) with
+  | Ok c ->
+    check_bool "reuse=none reads as plain" true
+      (c.Fuzz.Case.config.Driver.reuse = Driver.No_reuse)
+  | Error m -> Alcotest.failf "reuse=none rejected: %s" m
 
 let test_campaign_deterministic () =
   let record () =
@@ -62,7 +97,7 @@ let test_campaign_deterministic () =
       log :=
         ( index,
           Pp.program_to_string case.Fuzz.Case.program,
-          Fuzz.Case.config_to_string case.Fuzz.Case.config,
+          Driver.config_to_string case.Fuzz.Case.config,
           Fuzz.Oracle.outcome_name outcome )
         :: !log
     in
@@ -119,6 +154,36 @@ let test_shrinker_minimizes () =
   check_bool "non-failure untouched" true
     (Fuzz.Shrink.minimize ~oracle:(fun _ -> Fuzz.Oracle.Pass) pass == pass)
 
+(* An always-failing oracle accepts every step the shrinker proposes, so a
+   case with every pass switched on must shrink to one with all of them
+   off. *)
+let test_shrinker_disables_every_pass () =
+  let case = Fuzz.Genloop.gen_case (Prng.create ~seed:5) in
+  let all_on =
+    {
+      case.Fuzz.Case.config with
+      Driver.reassoc = true;
+      hoist_splats = true;
+      memnorm = true;
+      cse = true;
+      reuse = Driver.Predictive_commoning;
+      unroll = 3;
+      specialize_epilogue = true;
+      cleanup = true;
+    }
+  in
+  let min =
+    Fuzz.Shrink.minimize
+      ~oracle:(fun _ -> Fuzz.Oracle.Divergence "synthetic")
+      { case with Fuzz.Case.config = all_on }
+  in
+  List.iter
+    (fun (p : Driver.pass) ->
+      check_bool (p.name ^ " on before") true (p.enabled all_on);
+      check_bool (p.name ^ " off after") false
+        (p.enabled min.Fuzz.Case.config))
+    Driver.passes
+
 (* Every committed reproducer is a regression seed: it must load and its
    bug must stay fixed. *)
 let test_replay_reproducers () =
@@ -151,11 +216,17 @@ let suite =
           test_generator_well_formed;
         Alcotest.test_case "case serialization round trip" `Quick
           test_case_roundtrip;
+        Alcotest.test_case "config codecs round trip" `Quick
+          test_config_codecs_roundtrip;
+        Alcotest.test_case "header accepts reuse=none" `Quick
+          test_header_reuse_none;
         Alcotest.test_case "campaign deterministic" `Quick
           test_campaign_deterministic;
         Alcotest.test_case "fixed-seed smoke clean" `Quick
           test_smoke_no_failures;
         Alcotest.test_case "shrinker minimizes" `Quick test_shrinker_minimizes;
+        Alcotest.test_case "shrinker turns every pass off" `Quick
+          test_shrinker_disables_every_pass;
         Alcotest.test_case "reproducers stay fixed" `Quick
           test_replay_reproducers;
       ] );

@@ -316,9 +316,7 @@ let test_protocol_roundtrip () =
     check_string "id" "req-1" r.Serve.Protocol.id;
     check_string "source" sample_source r.Serve.Protocol.source;
     check_bool "emits" true (r.Serve.Protocol.emits = req.Serve.Protocol.emits);
-    check_string "config"
-      (Serve.Protocol.config_canonical config)
-      (Serve.Protocol.config_canonical r.Serve.Protocol.config)
+    check_bool "config" true (r.Serve.Protocol.config = config)
   | _ -> Alcotest.fail "round trip did not parse as Compile"
 
 let test_protocol_ops () =
@@ -343,6 +341,13 @@ let test_protocol_malformed () =
    with
   | Serve.Protocol.Malformed { id = Some "x"; _ } -> ()
   | _ -> Alcotest.fail "typo in config field");
+  (* a string is not a boolean, even one spelling a boolean *)
+  (match
+     Serve.Protocol.parse_line
+       {|{"id":"b","source":"s","config":{"memnorm":"1"}}|}
+   with
+  | Serve.Protocol.Malformed { id = Some "b"; _ } -> ()
+  | _ -> Alcotest.fail "string for a boolean");
   (* a request without a source is not a compile *)
   match Serve.Protocol.parse_line {|{"id":"y"}|} with
   | Serve.Protocol.Malformed _ -> ()
@@ -362,19 +367,29 @@ let test_protocol_bad_vl () =
       | _ -> Alcotest.failf "vl=%d must be rejected" vl)
     [ 5; 0; -3; 1024 ]
 
-let test_protocol_config_canonical () =
+let test_protocol_config_line () =
   let c1 = Driver.default in
   let c2 = { Driver.default with Driver.unroll = 4 } in
-  check_bool "default equals itself" true
-    (Serve.Protocol.config_canonical c1 = Serve.Protocol.config_canonical c1);
+  (* cache keys and [library_version] are pinned to this line *)
+  check_string "default line"
+    "vl=16 policy=dominant reuse=sp memnorm=1 reassoc=0 cse=1 hoist=1 \
+     unroll=1 specialize=1 peel=0 cleanup=0"
+    (Driver.config_to_string c1);
   check_bool "different configs differ" true
-    (Serve.Protocol.config_canonical c1 <> Serve.Protocol.config_canonical c2);
+    (Driver.config_to_string c1 <> Driver.config_to_string c2);
   (* config_of_json inverts config_to_json *)
   match Serve.Protocol.config_of_json (Serve.Protocol.config_to_json c2) with
-  | Ok c ->
-    check_string "json round trip"
-      (Serve.Protocol.config_canonical c2)
-      (Serve.Protocol.config_canonical c)
+  | Ok c -> (
+    check_bool "json round trip" true (c = c2);
+    (* booleans may be written 0/1 *)
+    match
+      Serve.Protocol.config_of_json
+        (Json.Obj [ ("memnorm", Json.Int 0); ("reassoc", Json.Int 1) ])
+    with
+    | Ok c ->
+      check_bool "0/1 booleans" true
+        (c = { Driver.default with Driver.memnorm = false; reassoc = true })
+    | Error m -> Alcotest.failf "0/1 booleans: %s" m)
   | Error m -> Alcotest.failf "config round trip: %s" m
 
 (* --- Compile ---------------------------------------------------------- *)
@@ -791,7 +806,7 @@ let suite =
         Alcotest.test_case "malformed requests" `Quick test_protocol_malformed;
         Alcotest.test_case "bad vector length" `Quick test_protocol_bad_vl;
         Alcotest.test_case "config canonical" `Quick
-          test_protocol_config_canonical;
+          test_protocol_config_line;
       ] );
     ( "serve compile",
       [

@@ -146,10 +146,12 @@ let test_no_perturbation () =
 (* Schema and event shape                                              *)
 (* ------------------------------------------------------------------ *)
 
+let pass_row name =
+  List.find_opt (fun (p : Driver.pass) -> p.name = name) Driver.passes
+
 let test_schema () =
-  let t =
-    trace_of { Driver.default with Driver.reassoc = true; unroll = 2 }
-  in
+  let config = { Driver.default with Driver.reassoc = true; unroll = 2 } in
+  let t = trace_of config in
   (match Trace.to_json t with
   | Json.Obj fields ->
     (match List.assoc_opt "schema" fields with
@@ -166,21 +168,25 @@ let test_schema () =
     (List.exists (function Trace.Placement _ -> true | _ -> false) events);
   check_bool "records the generated IR" true
     (List.exists (function Trace.Generated _ -> true | _ -> false) events);
-  (* every Pass event name is either a registered pipeline pass or a
-     structural stage *)
+  (* every Pass event name is either a registered pass, run exactly when
+     its row says the config enables it, or a structural stage *)
   let structural = [ "derive_epilogues"; "finalize_reductions"; "dce" ] in
   List.iter
     (function
-      | Trace.Pass { name; _ } ->
-        check_bool ("known pass name: " ^ name) true
-          (List.mem name Trace.pass_names || List.mem name structural)
+      | Trace.Pass { name; enabled; _ } -> (
+        match pass_row name with
+        | Some p ->
+          check_bool (name ^ " enabled as its row says") (p.enabled config)
+            enabled
+        | None ->
+          check_bool ("known pass name: " ^ name) true (List.mem name structural))
       | _ -> ())
     events;
   (* pass events appear in pipeline application order *)
   let order =
     List.filter_map
       (function
-        | Trace.Pass { name; _ } when List.mem name Trace.pass_names ->
+        | Trace.Pass { name; _ } when pass_row name <> None ->
           Some name
         | _ -> None)
       events
@@ -305,13 +311,12 @@ let test_bisect_prefix_configs () =
       setup_seed = 1;
     }
   in
-  let n = List.length Trace.pass_names in
+  let n = List.length Driver.passes in
   let none_on = (Fuzz.Bisect.with_prefix case 0).Fuzz.Case.config in
   List.iter
-    (fun p ->
-      check_bool ("prefix 0 disables " ^ p) false
-        (Fuzz.Bisect.enabled_in none_on p))
-    Trace.pass_names;
+    (fun (p : Driver.pass) ->
+      check_bool ("prefix 0 disables " ^ p.name) false (p.enabled none_on))
+    Driver.passes;
   check_bool "full prefix leaves the config unchanged" true
     ((Fuzz.Bisect.with_prefix case n).Fuzz.Case.config = case.Fuzz.Case.config)
 
