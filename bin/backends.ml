@@ -70,7 +70,9 @@ let status_cell (row : Simd.Matrix.row) =
   | Error reason -> Format.asprintf "-- (%a)" Simd.Driver.pp_reason reason
   | Ok t ->
     let p, r, f = Simd.Retarget.counts t in
-    let errors = List.length (Simd.Retarget.error_violations t) in
+    let errors =
+      List.length (Simd.Driver.check_violations t.Simd.Retarget.outcome)
+    in
     Printf.sprintf "%dP/%dR/%dX %s" p r f
       (if errors = 0 then "check:ok" else Printf.sprintf "check:%dERR" errors)
 
@@ -177,7 +179,10 @@ let print_doc_md files policy vl =
                        (Format.asprintf "%a" Simd.Retarget.pp_status)
                        t.Simd.Retarget.statuses)
                 in
-                let errors = List.length (Simd.Retarget.error_violations t) in
+                let errors =
+                  List.length
+                    (Simd.Driver.check_violations t.Simd.Retarget.outcome)
+                in
                 let body_cost =
                   match
                     Simd.Json.member "body_cost"
@@ -312,7 +317,7 @@ let run files policy vl trip probe_only doc_md no_measure json_path =
           Simd.Json.to_file ~indent:2 path
             (json_doc ?cc ~measure ~trip ~policy ~vl compiled);
           Format.printf "@.wrote %s@." path);
-        (* Exit nonzero if any retarget left error-severity violations or
+        (* Exit nonzero if any retarget left verifier violations or
            the simulator disagreed — the matrix is a correctness gate. *)
         let bad =
           List.exists
@@ -322,7 +327,8 @@ let run files policy vl trip probe_only doc_md no_measure json_path =
                   match row.Simd.Matrix.retarget with
                   | Error _ -> false (* legitimately not retargetable *)
                   | Ok t ->
-                    Simd.Retarget.error_violations t <> []
+                    Simd.Driver.check_violations t.Simd.Retarget.outcome
+                    <> []
                     ||
                     (measure
                     &&

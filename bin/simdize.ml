@@ -74,11 +74,11 @@ let trace_conv =
         Format.pp_print_string fmt
           (match k with `Human -> "human" | `Json -> "json") )
 
-let check_conv =
+let lint_conv =
   let parse = function
     | "on" | "basic" -> Ok `On
     | "strict" -> Ok `Strict
-    | s -> Error (`Msg (Printf.sprintf "unknown check mode %S" s))
+    | s -> Error (`Msg (Printf.sprintf "unknown lint mode %S" s))
   in
   Arg.conv
     ( parse,
@@ -86,18 +86,12 @@ let check_conv =
         Format.pp_print_string fmt
           (match k with `On -> "on" | `Strict -> "strict") )
 
-let severity_count sev violations =
-  List.length
-    (List.filter
-       (fun (_, (v : Simd.Check.violation)) -> v.Simd.Check.severity = sev)
-       violations)
-
 (* Unified exit codes, shared with simdlint.exe (see docs/LINT.md):
-   0 = clean, 1 = warning-only findings under a strict mode, 2 = errors
-   (static-verifier or lint errors, parse failures, scalar fallback,
-   verification failures). *)
+   0 = clean, 1 = warning-only lint findings under --lint=strict,
+   2 = errors (static-verifier violations, lint errors, parse failures,
+   scalar fallback, verification failures). *)
 let run file policy reuse memnorm reassoc peel unroll cleanup vector_len emit
-    stats simulate verify trip trace_fmt check_mode lint_mode =
+    stats simulate verify trip trace_fmt check lint_mode =
   let src = read_input file in
   match Simd.parse src with
   | Error msg ->
@@ -130,9 +124,7 @@ let run file policy reuse memnorm reassoc peel unroll cleanup vector_len emit
       | Some `Json ->
         print_endline (Simd.Json.to_string ~indent:2 (Simd.Trace.to_json trace))
     in
-    match
-      Simd.Driver.simdize ~trace ~check:(check_mode <> None) config program
-    with
+    match Simd.Driver.simdize ~trace ~check config program with
     | Simd.Driver.Scalar reason ->
       print_trace ();
       Format.eprintf "left scalar: %a@." Simd.Driver.pp_reason reason;
@@ -141,48 +133,28 @@ let run file policy reuse memnorm reassoc peel unroll cleanup vector_len emit
       print_trace ();
       let code = ref 0 in
       let worst n = if n > !code then code := n in
-      (match check_mode with
-      | None -> ()
-      | Some mode ->
-        let violations = Simd.Driver.check_violations o in
-        let facts = Simd.Driver.check_facts o in
-        let errors = severity_count Simd.Check.Error violations in
-        let warnings = severity_count Simd.Check.Warning violations in
-        List.iter
-          (fun (boundary, v) ->
-            Format.eprintf "check: at %s: %a@." boundary
-              Simd.Check.pp_violation v)
-          violations;
-        if errors > 0 then begin
-          Format.eprintf
-            "check FAILED: %d error%s (first at pass boundary %s)@." errors
-            (if errors = 1 then "" else "s")
-            (fst
-               (List.hd
-                  (List.filter
-                     (fun (_, (v : Simd.Check.violation)) ->
-                       v.Simd.Check.severity = Simd.Check.Error)
-                     violations)));
-          worst 2
-        end
-        else begin
-          if mode = `Strict && warnings > 0 then begin
-            Format.eprintf
-              "check: %d warning%s escalated by strict mode@." warnings
-              (if warnings = 1 then "" else "s");
-            worst 1
-          end;
-          Format.printf
-            "// check: OK (%d op, %d store, %d shift, %d seam obligations \
-             proved across %d boundaries%s)@."
-            facts.Simd.Check.ops_proved facts.Simd.Check.stores_proved
-            facts.Simd.Check.shifts_proved facts.Simd.Check.seams_proved
-            (List.length o.Simd.Driver.checks)
-            (match warnings with
-            | 0 -> ""
-            | n -> Printf.sprintf "; %d lint warning%s" n
-                     (if n = 1 then "" else "s"))
-        end);
+      (if check then
+         match Simd.Driver.check_violations o with
+         | [] ->
+           let facts = Simd.Driver.check_facts o in
+           Format.printf
+             "// check: OK (%d op, %d store, %d shift, %d seam obligations \
+              proved across %d boundaries)@."
+             facts.Simd.Check.ops_proved facts.Simd.Check.stores_proved
+             facts.Simd.Check.shifts_proved facts.Simd.Check.seams_proved
+             (List.length o.Simd.Driver.checks)
+         | (first, _) :: _ as violations ->
+           List.iter
+             (fun (boundary, v) ->
+               Format.eprintf "check: at %s: %a@." boundary
+                 Simd.Check.pp_violation v)
+             violations;
+           let errors = List.length violations in
+           Format.eprintf
+             "check FAILED: %d error%s (first at pass boundary %s)@." errors
+             (if errors = 1 then "" else "s")
+             first;
+           worst 2);
       (match lint_mode with
       | None -> ()
       | Some mode ->
@@ -364,24 +336,19 @@ let cmd =
   in
   let check =
     Arg.(
-      value
-      & opt ~vopt:(Some `On) (some check_conv) None
-      & info [ "check" ] ~docv:"MODE"
+      value & flag
+      & info [ "check" ]
           ~doc:"Run the static verifier (Simd.Check) at every pass \
                 boundary: alignment invariants (C.2)/(C.3), vshiftpair \
-                adjacency, bound formulas (Eqs. 8-16), and the VIR \
-                well-formedness lints. Violations are reported with the \
-                pass boundary that introduced them; any error exits \
-                nonzero. $(docv) is $(b,on) (default) or $(b,strict) \
-                (escalates lint warnings such as dead shifts to errors). \
-                See docs/CHECK.md. Exit codes are shared with --lint and \
-                simdlint.exe: 2 on errors, 1 on warning-only findings \
-                under strict, 0 when clean (docs/LINT.md).")
+                adjacency, bound formulas (Eqs. 8-16), and VIR \
+                well-formedness. Violations are reported with the pass \
+                boundary that introduced them; any violation exits 2. \
+                See docs/CHECK.md.")
   in
   let lint =
     Arg.(
       value
-      & opt ~vopt:(Some `On) (some check_conv) None
+      & opt ~vopt:(Some `On) (some lint_conv) None
       & info [ "lint" ] ~docv:"MODE"
           ~doc:"Run the registry-based linter (Simd.Lint) on the compiled \
                 program: dead vector operations, redundant or cancelling \
@@ -389,8 +356,8 @@ let cmd =
                 unhoisted loop-invariant operations, shift-amount range, \
                 and lane-uniform store masks. $(docv) is $(b,on) (default) \
                 or $(b,strict) (warnings affect the exit code). Exit codes \
-                are shared with --check and simdlint.exe: 2 on errors, 1 \
-                on warning-only findings under strict, 0 when clean \
+                are shared with simdlint.exe: 2 on errors, 1 on \
+                warning-only findings under strict, 0 when clean \
                 (docs/LINT.md).")
   in
   Cmd.v

@@ -2,7 +2,7 @@
 
    Compiles a loop program (honoring any fuzz-reproducer config header)
    and runs the Simd.Lint registry over the result. Exit codes are the
-   unified scheme of docs/LINT.md, shared with simdize --check/--lint:
+   unified scheme of docs/LINT.md, shared with simdize --lint:
    2 on any error-severity finding (or a failed compilation), 1 on
    warning-only findings under --strict, 0 when clean. *)
 
@@ -35,7 +35,7 @@ let list_rules () =
   List.iter
     (fun (r : Simd.Lint.rule) ->
       Format.printf "%-16s %-7s %s@." r.Simd.Lint.name
-        (Simd.Check.severity_name r.Simd.Lint.severity)
+        (Simd.Lint.severity_name r.Simd.Lint.severity)
         r.Simd.Lint.doc)
     Simd.Lint.rules;
   0

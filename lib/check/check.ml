@@ -4,22 +4,15 @@
 open Simd_loopir
 open Simd_vir
 module Graph = Simd_dreorg.Graph
-module Offset = Simd_dreorg.Offset
 module Util = Simd_support.Util
 module Json = Simd_support.Json
 module SM = Util.String_map
 module SS = Util.String_set
 module Absoff = Simd_dataflow.Absoff
 module Dataflow = Simd_dataflow.Dataflow
+module Offsets = Dataflow.Offsets
 
-type severity = Error | Warning
-
-type violation = {
-  rule : string;
-  severity : severity;
-  where : string;
-  detail : string;
-}
+type violation = { rule : string; where : string; detail : string }
 
 type facts = {
   ops_proved : int;
@@ -41,28 +34,15 @@ let add_facts a b =
     seams_proved = a.seams_proved + b.seams_proved;
   }
 
-let empty = { violations = []; facts = no_facts }
-
-let merge a b =
-  {
-    violations = a.violations @ b.violations;
-    facts = add_facts a.facts b.facts;
-  }
-
-let errors r = List.filter (fun v -> v.severity = Error) r.violations
-let warnings r = List.filter (fun v -> v.severity = Warning) r.violations
-let severity_name = function Error -> "error" | Warning -> "warning"
-
 let pp_violation fmt v =
-  Format.fprintf fmt "%s[%s] %s: %s" (severity_name v.severity) v.rule v.where
-    v.detail
+  Format.fprintf fmt "error[%s] %s: %s" v.rule v.where v.detail
 
 let violation_to_string v = Format.asprintf "%a" pp_violation v
 
 let violation_to_json v =
   Json.Obj
     [
-      ("severity", Json.String (severity_name v.severity));
+      ("severity", Json.String "error");
       ("rule", Json.String v.rule);
       ("where", Json.String v.where);
       ("detail", Json.String v.detail);
@@ -83,10 +63,9 @@ let facts_to_json f =
 
 type ctx = {
   analysis : Analysis.t;
-  v : int;
-  elem : int;
-  block : int;
-  opaque_loads : bool;  (** MemNorm ran: known-align load offsets gone *)
+  off : Offsets.ctx;
+      (** geometry, base alignments, and whether MemNorm made
+          known-aligned load offsets opaque *)
   mutable viols : violation list;  (* reversed *)
   mutable ops_proved : int;
   mutable stores_proved : int;
@@ -94,13 +73,21 @@ type ctx = {
   mutable seams_proved : int;
 }
 
-let make_ctx ?(loads_normalized = false) analysis =
+let make_ctx ?(loads_normalized = false) (analysis : Analysis.t) =
+  let lookup arr =
+    match Ast.find_array analysis.Analysis.program arr with
+    | Some { Ast.arr_align = Ast.Known k; _ } -> Some k
+    | Some { Ast.arr_align = Ast.Unknown; _ } | None -> None
+  in
   {
     analysis;
-    v = Simd_machine.Config.vector_len analysis.Analysis.machine;
-    elem = analysis.Analysis.elem;
-    block = analysis.Analysis.block;
-    opaque_loads = loads_normalized;
+    off =
+      {
+        Offsets.v = Simd_machine.Config.vector_len analysis.Analysis.machine;
+        elem = analysis.Analysis.elem;
+        lookup;
+        opaque_loads = loads_normalized;
+      };
     viols = [];
     ops_proved = 0;
     stores_proved = 0;
@@ -108,8 +95,8 @@ let make_ctx ?(loads_normalized = false) analysis =
     seams_proved = 0;
   }
 
-let report ctx ~rule ~severity ~where detail =
-  ctx.viols <- { rule; severity; where; detail } :: ctx.viols
+let report ctx ~rule ~where detail =
+  ctx.viols <- { rule; where; detail } :: ctx.viols
 
 let result_of_ctx ctx =
   {
@@ -123,28 +110,14 @@ let result_of_ctx ctx =
       };
   }
 
-let lookup_base ctx arr =
-  match Ast.find_array ctx.analysis.Analysis.program arr with
-  | Some { Ast.arr_align = Ast.Known k; _ } -> Some k
-  | Some { Ast.arr_align = Ast.Unknown; _ } | None -> None
-
+(* A store address's stream offset. Store addresses are never rewritten by
+   MemNorm: the address itself carries the alignment (C.2) is stated
+   against. *)
 let addr_off ctx (a : Addr.t) =
-  Absoff.of_addr ~v:ctx.v ~elem:ctx.elem ~lookup:(lookup_base ctx) a
-
-(* A load's stream offset. Once MemNorm has rewritten a compile-time-
-   aligned load to its V-aligned chunk address, the original offset is no
-   longer derivable from the address — those loads become [Top] (their
-   obligations were proved at the pre-MemNorm boundaries). Runtime-aligned
-   loads are untouched by MemNorm and stay symbolic. *)
-let load_off ctx (a : Addr.t) =
-  if ctx.opaque_loads && lookup_base ctx a.Addr.array <> None then Absoff.Top
-  else addr_off ctx a
-
-let eval_rexpr ctx r =
-  Absoff.eval_rexpr ~v:ctx.v ~elem:ctx.elem ~lookup:(lookup_base ctx) r
+  Absoff.of_addr ~v:ctx.off.v ~elem:ctx.off.elem ~lookup:ctx.off.lookup a
 
 (* ------------------------------------------------------------------ *)
-(* Graph-level checks: (C.2)/(C.3) re-validation + dead-shift lint      *)
+(* Graph-level checks: (C.2)/(C.3) re-validation                       *)
 (* ------------------------------------------------------------------ *)
 
 let contains_sub ~sub s =
@@ -160,59 +133,20 @@ let rec count_graph_ops = function
     1 + count_graph_ops m + count_graph_ops a + count_graph_ops b
   | Graph.Shift (src, _, _) -> count_graph_ops src
 
-(* [shared] answers whether a reorganization chain has more than one
-   consumer body-wide: a detour that looks wasteful inside one statement
-   is not dead when another statement rides the same (value-numbered)
-   stream, so the lint must count consumers across the whole body. The
-   scan itself lives in the dataflow library ([Dataflow.Deadshift]);
-   only the diagnostic rendering is the checker's. *)
-let dead_shift_lint ctx ~shared ~where (n : Graph.node) =
-  List.iter
-    (function
-      | Dataflow.Deadshift.No_op { from_; to_ } ->
-        report ctx ~rule:"dead-shift" ~severity:Warning ~where
-          (Format.asprintf
-             "vshiftstream(%a -> %a) is a no-op: source and target offsets \
-              provably coincide"
-             Offset.pp from_ Offset.pp to_)
-      | Dataflow.Deadshift.Cancelling { f1; t1; to_ } ->
-        report ctx ~rule:"dead-shift" ~severity:Warning ~where
-          (Format.asprintf
-             "redundant vshiftstream pair %a -> %a -> %a returns the stream \
-              to its original offset"
-             Offset.pp f1 Offset.pp t1 Offset.pp to_))
-    (Dataflow.Deadshift.find ~block:ctx.block ~shared n)
-
 let check_graphs ~analysis graphs =
   let ctx = make_ctx analysis in
-  (* Body-wide chain occurrence counts: a chain appearing twice anywhere
-     in the body is one shared vshiftstream after value numbering. *)
-  let all_chains =
-    List.concat_map
-      (fun ((_ : Ast.stmt), (g : Graph.t)) -> Graph.all_chains g)
-      graphs
-  in
-  let shared c =
-    List.length (List.filter (Graph.equal_chain c) all_chains) >= 2
-  in
   List.iteri
     (fun i ((_stmt : Ast.stmt), (g : Graph.t)) ->
-      let where = Printf.sprintf "graph#%d" i in
-      (match Graph.validate ~analysis g with
+      match Graph.validate ~analysis g with
       | Ok () ->
         (* [validate] discharged (C.2) for the root and (C.3) at every
            op/shift of this graph. *)
         ctx.stores_proved <- ctx.stores_proved + 1;
         ctx.ops_proved <- ctx.ops_proved + count_graph_ops g.Graph.root;
-        ctx.shifts_proved <-
-          ctx.shifts_proved + Graph.graph_shift_count g
+        ctx.shifts_proved <- ctx.shifts_proved + Graph.graph_shift_count g
       | Error msg ->
         let rule = if contains_sub ~sub:"(C.2)" msg then "C.2" else "C.3" in
-        report ctx ~rule ~severity:Error ~where msg);
-      dead_shift_lint ctx ~shared ~where g.Graph.root;
-      match g.Graph.mask with
-      | Some m -> dead_shift_lint ctx ~shared ~where m
-      | None -> ())
+        report ctx ~rule ~where:(Printf.sprintf "graph#%d" i) msg)
     graphs;
   result_of_ctx ctx
 
@@ -228,7 +162,7 @@ let check_graphs ~analysis graphs =
 let rec range_check_rexpr ctx ~where ~kind r =
   (match r with
   | Rexpr.Mod_const (_, m) when m <= 0 ->
-    report ctx ~rule:"range" ~severity:Error ~where
+    report ctx ~rule:"range" ~where
       (Format.asprintf "%s %a has non-positive modulus %d" kind Rexpr.pp r m)
   | _ -> ());
   match r with
@@ -243,13 +177,13 @@ let range_check_amount ctx ~where ~kind ~elem_multiple r =
   range_check_rexpr ctx ~where ~kind r;
   if Rexpr.is_const r then begin
     let c = Rexpr.const_exn r in
-    if c < 0 || c > ctx.v then
-      report ctx ~rule:"range" ~severity:Error ~where
-        (Printf.sprintf "%s %d out of range [0, %d]" kind c ctx.v)
-    else if elem_multiple && c mod ctx.elem <> 0 then
-      report ctx ~rule:"range" ~severity:Error ~where
+    if c < 0 || c > ctx.off.v then
+      report ctx ~rule:"range" ~where
+        (Printf.sprintf "%s %d out of range [0, %d]" kind c ctx.off.v)
+    else if elem_multiple && c mod ctx.off.elem <> 0 then
+      report ctx ~rule:"range" ~where
         (Printf.sprintf "%s %d is not a multiple of the element width %d"
-           kind c ctx.elem)
+           kind c ctx.off.elem)
   end
 
 (* The vshiftpair adjacency discipline: the two operands must be the
@@ -275,7 +209,7 @@ let adjacency_check ctx ~where x y =
       (fun msg ->
         if !ok then begin
           ok := false;
-          report ctx ~rule:"adjacency" ~severity:Error ~where msg
+          report ctx ~rule:"adjacency" ~where msg
         end)
       fmt
   in
@@ -285,7 +219,11 @@ let adjacency_check ctx ~where x y =
      Fail only on a provable difference. *)
   let lock_amount kind s1 s2 =
     if not (Rexpr.equal s1 s2) then
-      match Absoff.cmp ~v:ctx.v (eval_rexpr ctx s1) (eval_rexpr ctx s2) with
+      match
+        Absoff.cmp ~v:ctx.off.v
+          (Offsets.eval_rexpr ctx.off s1)
+          (Offsets.eval_rexpr ctx.off s2)
+      with
       | Absoff.Refuted ->
         fail "vshiftpair halves' %s %a and %a provably differ" kind Rexpr.pp
           s1 Rexpr.pp s2
@@ -302,11 +240,12 @@ let adjacency_check ctx ~where x y =
          addresses (scale 0, specialized epilogues) lost the original
          stride, so any positive whole number of registers is accepted
          there. *)
-      let delta_bytes = (q.Addr.offset - p.Addr.offset) * ctx.elem in
+      let v = ctx.off.v in
+      let delta_bytes = (q.Addr.offset - p.Addr.offset) * ctx.off.elem in
       let adjacent =
         if p.Addr.scale >= 1 then
-          delta_bytes = ctx.v || delta_bytes = p.Addr.scale * ctx.v
-        else delta_bytes > 0 && delta_bytes mod ctx.v = 0
+          delta_bytes = v || delta_bytes = p.Addr.scale * v
+        else delta_bytes > 0 && delta_bytes mod v = 0
       in
       if
         not
@@ -354,118 +293,66 @@ type xstate = {
 
 let empty_state = { env = SM.empty; defs = SM.empty; defined = SS.empty }
 
-let rec eval_vexpr ctx ~quiet ~check_defs ~where st e : Absoff.t =
-  let v = ctx.v in
-  let go e = eval_vexpr ctx ~quiet ~check_defs ~where st e in
-  match e with
-  | Expr.Load a -> load_off ctx a
-  | Expr.Splat _ -> Absoff.Bot
-  | Expr.Temp x ->
-    if check_defs && not quiet && not (SS.mem x st.defined) then
-      report ctx ~rule:"def-before-use" ~severity:Error ~where
-        (Printf.sprintf "temporary %s is read before any definition" x);
-    (match SM.find_opt x st.env with Some o -> o | None -> Absoff.Top)
-  | Expr.Op (op, a, b) ->
-    let oa = go a and ob = go b in
-    (match Absoff.cmp ~v oa ob with
-    | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "operands of v%s at offsets %a vs %a violate (C.3)"
-             (Pp.binop_symbol op) Absoff.pp oa Absoff.pp ob)
-    | Absoff.Proved ->
-      if not quiet then ctx.ops_proved <- ctx.ops_proved + 1
-    | Absoff.Unknown -> ());
-    Absoff.merge ~v oa ob
-  | Expr.Shiftpair (x, y, s) when Expr.equal_vexpr x y ->
-    (* Register rotation (reduction finalization): lane positions no
-       longer denote stream offsets. The result is Top, not Bot — a
-       half-reduced register is not lane-uniform, so treating it as
-       "matches anything" would falsely discharge the (C.3) obligations
-       of the combining ops downstream. *)
-    if not quiet then
-      range_check_amount ctx ~where ~kind:"vshiftpair amount"
-        ~elem_multiple:true s;
-    ignore (go x);
-    Absoff.Top
-  | Expr.Shiftpair (x, y, s) ->
-    let ox = go x and oy = go y in
-    (match Absoff.cmp ~v ox oy with
-    | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "vshiftpair halves at offsets %a vs %a are not one stream"
-             Absoff.pp ox Absoff.pp oy)
-    | Absoff.Proved | Absoff.Unknown -> ());
-    if not quiet then begin
-      adjacency_check ctx ~where x y;
-      range_check_amount ctx ~where ~kind:"vshiftpair amount"
-        ~elem_multiple:true s
-    end;
-    (* Selecting V bytes starting [s] bytes into the pair moves the stream
-       offset down by [s] (mod V) — both the left and right lowering of a
-       [from -> to] stream shift reduce to this. *)
-    Absoff.sub ~v (Absoff.merge ~v ox oy) (eval_rexpr ctx s)
-  | Expr.Splice (x, y, p) ->
-    let ox = go x and oy = go y in
-    (match Absoff.cmp ~v ox oy with
-    | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "vsplice operands at offsets %a vs %a violate (C.3)" Absoff.pp
-             ox Absoff.pp oy)
-    | Absoff.Proved | Absoff.Unknown -> ());
-    if not quiet then
-      range_check_amount ctx ~where ~kind:"vsplice point"
-        ~elem_multiple:false p;
-    Absoff.merge ~v ox oy
-  | Expr.Pack (x, y) -> (
-    let ox = go x and oy = go y in
-    (* Strided gathers window every chunk to offset 0 before packing. *)
-    match (ox, oy) with
-    | Absoff.Byte 0, Absoff.Byte 0 -> Absoff.Byte 0
-    | _ -> Absoff.Top)
-  | Expr.Cmp (c, a, b) ->
+(* (C.3) for a lane-wise node: its operands must sit at one stream offset.
+   [count] marks the nodes whose proof counts as an op obligation. *)
+let lanewise ctx ~where ~count oa ob describe =
+  match Absoff.cmp ~v:ctx.off.v oa ob with
+  | Absoff.Refuted -> report ctx ~rule:"C.3" ~where (describe ())
+  | Absoff.Proved -> if count then ctx.ops_proved <- ctx.ops_proved + 1
+  | Absoff.Unknown -> ()
+
+(* The proof obligations of one VIR node. [Offsets.eval] calls this on
+   every node post-order, with the operands' offsets [os] in operand
+   order, so the checked walk computes each offset exactly once. *)
+let obligations ctx ~check_defs ~where st (e : Expr.vexpr) os =
+  match (e, os) with
+  | Expr.Temp x, _ ->
+    if check_defs && not (SS.mem x st.defined) then
+      report ctx ~rule:"def-before-use" ~where
+        (Printf.sprintf "temporary %s is read before any definition" x)
+  | Expr.Op (op, _, _), [ oa; ob ] ->
+    lanewise ctx ~where ~count:true oa ob (fun () ->
+        Format.asprintf "operands of v%s at offsets %a vs %a violate (C.3)"
+          (Pp.binop_symbol op) Absoff.pp oa Absoff.pp ob)
+  | Expr.Cmp (c, _, _), [ oa; ob ] ->
     (* A vcmp is lane-wise like a vop: (C.3) is the same obligation, and
        the mask it produces inherits the common stream offset. *)
-    let oa = go a and ob = go b in
-    (match Absoff.cmp ~v oa ob with
-    | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "operands of vcmp_%s at offsets %a vs %a violate (C.3)"
-             (Simd_machine.Lane.cmp_name c) Absoff.pp oa Absoff.pp ob)
-    | Absoff.Proved ->
-      if not quiet then ctx.ops_proved <- ctx.ops_proved + 1
-    | Absoff.Unknown -> ());
-    Absoff.merge ~v oa ob
-  | Expr.Sel (m, a, b) ->
+    lanewise ctx ~where ~count:true oa ob (fun () ->
+        Format.asprintf "operands of vcmp_%s at offsets %a vs %a violate (C.3)"
+          (Simd_machine.Lane.cmp_name c) Absoff.pp oa Absoff.pp ob)
+  | Expr.Shiftpair (x, y, s), _ when Expr.equal_vexpr x y ->
+    (* register rotation: only the amount is an obligation *)
+    range_check_amount ctx ~where ~kind:"vshiftpair amount"
+      ~elem_multiple:true s
+  | Expr.Shiftpair (x, y, s), [ ox; oy ] ->
+    lanewise ctx ~where ~count:false ox oy (fun () ->
+        Format.asprintf
+          "vshiftpair halves at offsets %a vs %a are not one stream" Absoff.pp
+          ox Absoff.pp oy);
+    adjacency_check ctx ~where x y;
+    range_check_amount ctx ~where ~kind:"vshiftpair amount"
+      ~elem_multiple:true s
+  | Expr.Splice (_, _, p), [ ox; oy ] ->
+    lanewise ctx ~where ~count:false ox oy (fun () ->
+        Format.asprintf "vsplice operands at offsets %a vs %a violate (C.3)"
+          Absoff.pp ox Absoff.pp oy);
+    range_check_amount ctx ~where ~kind:"vsplice point" ~elem_multiple:false p
+  | Expr.Sel _, [ om; oa; ob ] ->
     (* (C.3) is ternary for vsel: the mask and both arms must sit at one
        common offset, or lanes blend values from different iterations. *)
-    let om = go m and oa = go a and ob = go b in
-    let refuted =
-      List.exists
-        (fun (x, y) -> Absoff.cmp ~v x y = Absoff.Refuted)
+    let cmps =
+      List.map
+        (fun (x, y) -> Absoff.cmp ~v:ctx.off.v x y)
         [ (om, oa); (om, ob); (oa, ob) ]
     in
-    let proved =
-      List.for_all
-        (fun (x, y) -> Absoff.cmp ~v x y = Absoff.Proved)
-        [ (om, oa); (om, ob); (oa, ob) ]
-    in
-    if refuted then begin
-      if not quiet then
-        report ctx ~rule:"C.3" ~severity:Error ~where
-          (Format.asprintf
-             "operands of vsel at offsets %a / %a / %a violate (C.3)"
-             Absoff.pp om Absoff.pp oa Absoff.pp ob)
-    end
-    else if proved && not quiet then ctx.ops_proved <- ctx.ops_proved + 1;
-    Absoff.merge ~v om (Absoff.merge ~v oa ob)
+    if List.mem Absoff.Refuted cmps then
+      report ctx ~rule:"C.3" ~where
+        (Format.asprintf
+           "operands of vsel at offsets %a / %a / %a violate (C.3)" Absoff.pp
+           om Absoff.pp oa Absoff.pp ob)
+    else if List.for_all (( = ) Absoff.Proved) cmps then
+      ctx.ops_proved <- ctx.ops_proved + 1
+  | _ -> ()
 
 let stmt_label s =
   let full = Format.asprintf "%a" (Prog.pp_stmt ~indent:0) s in
@@ -474,63 +361,53 @@ let stmt_label s =
   | None -> full
 
 (* Join at an [If]: keep what both branches agree on; a temp defined on
-   either branch counts as defined (optimistic — this is a linter, false
-   positives are worse than missed lints). *)
+   either branch counts as defined. The join is optimistic because the
+   arms are alternatives realizing one slot, and the verifier reports
+   only what it can refute, never what it merely cannot prove. *)
 let join_xstate ctx st_t st_f =
   {
-    env = Dataflow.join_env ~v:ctx.v st_t.env st_f.env;
+    env = Dataflow.join_env ~v:ctx.off.v st_t.env st_f.env;
     defs = SM.union (fun _ a _ -> Some a) st_t.defs st_f.defs;
     defined = SS.union st_t.defined st_f.defined;
   }
 
-let exec_leaf ctx ~quiet ~check_defs ~region ~idx st (s : Expr.stmt) : xstate =
+(* (C.2): a stored stream's root offset must be the store alignment. *)
+let store_c2 ctx ~where ov oa =
+  match Absoff.cmp ~v:ctx.off.v ov oa with
+  | Absoff.Refuted ->
+    report ctx ~rule:"C.2" ~where
+      (Format.asprintf "root offset %a does not match store alignment %a (C.2)"
+         Absoff.pp ov Absoff.pp oa)
+  | Absoff.Proved -> ctx.stores_proved <- ctx.stores_proved + 1
+  | Absoff.Unknown -> ()
+
+let exec_leaf ctx ~check_defs ~region ~idx st (s : Expr.stmt) : xstate =
   let where = Printf.sprintf "%s#%d (%s)" region idx (stmt_label s) in
+  let visit e os = obligations ctx ~check_defs ~where st e os in
+  let eval e = Offsets.eval ~visit ctx.off st.env e in
   match s with
   | Expr.Store (addr, value) ->
-    let ov = eval_vexpr ctx ~quiet ~check_defs ~where st value in
-    (* Store addresses are never rewritten by MemNorm: the address itself
-       carries the alignment (C.2) is stated against. *)
-    let oa = addr_off ctx addr in
-    (match Absoff.cmp ~v:ctx.v ov oa with
-    | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.2" ~severity:Error ~where
-          (Format.asprintf
-             "root offset %a does not match store alignment %a (C.2)"
-             Absoff.pp ov Absoff.pp oa)
-    | Absoff.Proved ->
-      if not quiet then ctx.stores_proved <- ctx.stores_proved + 1
-    | Absoff.Unknown -> ());
+    store_c2 ctx ~where (eval value) (addr_off ctx addr);
     st
   | Expr.Storem (addr, value, mask) ->
-    let ov = eval_vexpr ctx ~quiet ~check_defs ~where st value in
-    let om = eval_vexpr ctx ~quiet ~check_defs ~where st mask in
+    let ov = eval value in
+    let om = eval mask in
     let oa = addr_off ctx addr in
-    (match Absoff.cmp ~v:ctx.v ov oa with
-    | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.2" ~severity:Error ~where
-          (Format.asprintf
-             "root offset %a does not match store alignment %a (C.2)"
-             Absoff.pp ov Absoff.pp oa)
-    | Absoff.Proved ->
-      if not quiet then ctx.stores_proved <- ctx.stores_proved + 1
-    | Absoff.Unknown -> ());
+    store_c2 ctx ~where ov oa;
     (* The (C.2) analogue for masks: a mask lane guards the store lane at
        the same stream position, so the mask stream must reach the store
        alignment too. *)
-    (match Absoff.cmp ~v:ctx.v om oa with
+    (match Absoff.cmp ~v:ctx.off.v om oa with
     | Absoff.Refuted ->
-      if not quiet then
-        report ctx ~rule:"C.2" ~severity:Error ~where
-          (Format.asprintf
-             "mask offset %a does not match store alignment %a ((C.2) for \
-              masks)"
-             Absoff.pp om Absoff.pp oa)
+      report ctx ~rule:"C.2" ~where
+        (Format.asprintf
+           "mask offset %a does not match store alignment %a ((C.2) for \
+            masks)"
+           Absoff.pp om Absoff.pp oa)
     | Absoff.Proved | Absoff.Unknown -> ());
     st
   | Expr.Assign (x, e) ->
-    let o = eval_vexpr ctx ~quiet ~check_defs ~where st e in
+    let o = eval e in
     {
       env = SM.add x o st.env;
       defs = SM.add x e st.defs;
@@ -541,9 +418,9 @@ let exec_leaf ctx ~quiet ~check_defs ~region ~idx st (s : Expr.stmt) : xstate =
     st
 
 (* Range-check the guard operands of an [If] before its branches run. *)
-let guard_checks ctx ~quiet ~region ~idx (_ : xstate) (s : Expr.stmt) =
+let guard_checks ctx ~region ~idx (_ : xstate) (s : Expr.stmt) =
   match s with
-  | Expr.If (c, _, _) when not quiet ->
+  | Expr.If (c, _, _) ->
     let where = Printf.sprintf "%s#%d (%s)" region idx (stmt_label s) in
     let a, b =
       match c with
@@ -555,47 +432,31 @@ let guard_checks ctx ~quiet ~region ~idx (_ : xstate) (s : Expr.stmt) =
     range_check_rexpr ctx ~where ~kind:"guard operand" b
   | _ -> ()
 
-let exec_stmts ctx ~quiet ~check_defs ~region idx0 st stmts =
+let exec_region ctx ~check_defs ~region st stmts =
   Dataflow.forward
-    ~leaf:(fun ~idx st s -> exec_leaf ctx ~quiet ~check_defs ~region ~idx st s)
-    ~guard:(fun ~idx st s -> guard_checks ctx ~quiet ~region ~idx st s)
-    ~join:(join_xstate ctx) ~idx0 st stmts
-
-let exec_region ctx ~quiet ~check_defs ~region st stmts =
-  exec_stmts ctx ~quiet ~check_defs ~region 0 st stmts
+    ~leaf:(fun ~idx st s -> exec_leaf ctx ~check_defs ~region ~idx st s)
+    ~guard:(fun ~idx st s -> guard_checks ctx ~region ~idx st s)
+    ~join:(join_xstate ctx) ~idx0:0 st stmts
 
 (* ------------------------------------------------------------------ *)
 (* Body well-formedness: the carried-temp seam discipline               *)
 (* ------------------------------------------------------------------ *)
 
 (* A temp that is live into the body (read before any body definition)
-   names a loop-carried register. The unroll pass keeps every seam restore
-   at the end of the body, and modulo variable expansion renames all
-   intermediate uses — so in well-formed code a carried name is (a)
-   initialized by the prologue and (b) defined at most once per body
-   (unrolling's seam-restore coalescer legitimately renames a later
-   definition onto a carried name, so re-definition is a lint, not an
-   error; the seam *semantics* are verified separately by
-   {!check_unroll}'s translation validation). The carried-temp discovery
-   itself is the reaching-definitions analysis of the dataflow library. *)
+   names a loop-carried register, which the prologue must initialize.
+   The carried-temp discovery is the reaching-definitions analysis of the
+   dataflow library; the seam *semantics* under unrolling are verified
+   separately by {!check_unroll}'s translation validation. *)
 let body_wf ctx ~prologue_defined body =
   List.iter
     (fun (c : Dataflow.Reach.carried) ->
       if not (SS.mem c.ca_name prologue_defined) then
-        report ctx ~rule:"def-before-use" ~severity:Error
+        report ctx ~rule:"def-before-use"
           ~where:(Printf.sprintf "body#%d" c.ca_first_read)
           (Printf.sprintf
              "loop-carried temporary %s is read before any definition (not \
               initialized by the prologue)"
-             c.ca_name);
-      match c.ca_first_def with
-      | Some d when c.ca_def_count > 1 ->
-        report ctx ~rule:"multi-def" ~severity:Warning
-          ~where:(Printf.sprintf "body#%d" d)
-          (Printf.sprintf
-             "loop-carried temporary %s has multiple body definitions"
-             c.ca_name)
-      | Some _ | None -> ())
+             c.ca_name))
     (Dataflow.Reach.carried_temps body)
 
 (* ------------------------------------------------------------------ *)
@@ -688,7 +549,8 @@ let check_unroll ~analysis ~factor ~(pre : Expr.stmt list)
         (SM.empty, []) disps
     in
     let ref_env, ref_stores =
-      run pre ~disps:(List.init factor (fun j -> j * ctx.block))
+      run pre
+        ~disps:(List.init factor (fun j -> j * analysis.Analysis.block))
     in
     let post_env, post_stores = run post ~disps:[ 0 ] in
     let ref_stores = List.rev ref_stores
@@ -709,7 +571,7 @@ let check_unroll ~analysis ~factor ~(pre : Expr.stmt list)
         if final ref_env x = final post_env x then
           ctx.seams_proved <- ctx.seams_proved + 1
         else
-          report ctx ~rule:"carried-clobber" ~severity:Error ~where:"body"
+          report ctx ~rule:"carried-clobber" ~where:"body"
             (Printf.sprintf
                "loop-carried temporary %s does not hold its protocol value \
                 after the unrolled body (factor %d) — a seam restore was \
@@ -717,7 +579,7 @@ let check_unroll ~analysis ~factor ~(pre : Expr.stmt list)
                x factor))
       live_in;
     (if List.length ref_stores <> List.length post_stores then
-       report ctx ~rule:"unroll-equiv" ~severity:Error ~where:"body"
+       report ctx ~rule:"unroll-equiv" ~where:"body"
          (Printf.sprintf
             "unrolled body performs %d stores where %d iterations of the \
              original body perform %d"
@@ -726,7 +588,7 @@ let check_unroll ~analysis ~factor ~(pre : Expr.stmt list)
        List.iteri
          (fun k ((ra, rv), (pa, pv)) ->
            if not (Addr.equal ra pa && rv = pv) then
-             report ctx ~rule:"unroll-equiv" ~severity:Error
+             report ctx ~rule:"unroll-equiv"
                ~where:(Printf.sprintf "body store#%d" k)
                (Format.asprintf
                   "unrolled store to %a diverges from the original body's \
@@ -737,45 +599,29 @@ let check_unroll ~analysis ~factor ~(pre : Expr.stmt list)
   end
 
 (* ------------------------------------------------------------------ *)
-(* Body environment fixpoint                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The loop-entry environment is the offset analysis's widened fixpoint:
-   its [eval] is the diagnostic-free mirror of [eval_vexpr], so the
-   checked body pass below sees exactly the environment the quiet
-   iteration settled on. *)
-let body_entry_env ctx st0 body =
-  let octx =
-    {
-      Dataflow.Offsets.v = ctx.v;
-      elem = ctx.elem;
-      lookup = lookup_base ctx;
-      opaque_loads = ctx.opaque_loads;
-    }
-  in
-  Dataflow.Offsets.entry octx st0.env body
-
-(* ------------------------------------------------------------------ *)
 (* Region driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let run_regions ctx ~prologue ~body ~epilogues =
   let stp =
-    exec_region ctx ~quiet:false ~check_defs:true ~region:"prologue"
-      empty_state prologue
+    exec_region ctx ~check_defs:true ~region:"prologue" empty_state prologue
   in
   body_wf ctx ~prologue_defined:stp.defined body;
-  let entry = body_entry_env ctx stp body in
-  (* Reads of temps defined later in the body are legal exactly for the
-     carried names [body_wf] vets, so the env pass runs def-check-free. *)
+  (* The loop-entry environment is the offset analysis's widened
+     fixpoint. The checked body pass evaluates with the same
+     [Offsets.eval], so it sees exactly the environment the fixpoint
+     settled on. Reads of temps defined later in the body are legal
+     exactly for the carried names [body_wf] vets, so this pass runs
+     def-check-free. *)
+  let entry = Offsets.entry ctx.off stp.env body in
   let stb =
-    exec_region ctx ~quiet:false ~check_defs:false ~region:"body"
+    exec_region ctx ~check_defs:false ~region:"body"
       { stp with env = entry } body
   in
   let _ =
     List.fold_left
       (fun (st, k) seg ->
-        ( exec_region ctx ~quiet:false ~check_defs:true
+        ( exec_region ctx ~check_defs:true
             ~region:(Printf.sprintf "epilogue[%d]" k) st seg,
           k + 1 ))
       (stb, 0) epilogues
@@ -805,11 +651,11 @@ let trip_const_of (p : Prog.t) =
 let check_bounds ctx (p : Prog.t) =
   let where = "bounds" in
   if p.Prog.lower <> p.Prog.block then
-    report ctx ~rule:"bounds" ~severity:Error ~where
+    report ctx ~rule:"bounds" ~where
       (Printf.sprintf "steady lower bound %d is not the block size %d (Eq. 12)"
          p.Prog.lower p.Prog.block);
   if p.Prog.min_trip <> 3 * p.Prog.block then
-    report ctx ~rule:"bounds" ~severity:Error ~where
+    report ctx ~rule:"bounds" ~where
       (Printf.sprintf "trip guard %d is not 3B = %d (Eq. 16)" p.Prog.min_trip
          (3 * p.Prog.block));
   let store_offsets =
@@ -827,15 +673,15 @@ let check_bounds ctx (p : Prog.t) =
         List.fold_left
           (fun acc o ->
             max acc
-              (epi_splice_elems ~v:ctx.v ~elem:ctx.elem
+              (epi_splice_elems ~v:ctx.off.v ~elem:ctx.off.elem
                  ~store_off:(Align.known_exn o) ~trip))
           0 store_offsets
       in
       Prog.B_const (trip - max_epi)
-    | _ -> Prog.B_trip_minus (ctx.block - 1)
+    | _ -> Prog.B_trip_minus (ctx.analysis.Analysis.block - 1)
   in
   if not (Prog.equal_bound p.Prog.upper expected) then
-    report ctx ~rule:"bounds" ~severity:Error ~where
+    report ctx ~rule:"bounds" ~where
       (Format.asprintf
          "steady upper bound %a does not match the Eq. 13/15 recomputation \
           %a"
@@ -843,7 +689,7 @@ let check_bounds ctx (p : Prog.t) =
   if p.Prog.epilogues <> [] then begin
     let n = List.length p.Prog.epilogues in
     if n <> p.Prog.unroll + 1 then
-      report ctx ~rule:"bounds" ~severity:Error ~where
+      report ctx ~rule:"bounds" ~where
         (Printf.sprintf
            "%d epilogue segments for unroll factor %d (need unroll + 1 \
             virtual iterations)"
@@ -855,19 +701,19 @@ let check_peel ctx peel_amount (p : Prog.t) =
     (fun (r : Ast.mem_ref) ->
       match Analysis.offset_of ctx.analysis r with
       | Align.Runtime ->
-        report ctx ~rule:"peel" ~severity:Error ~where:"peel"
+        report ctx ~rule:"peel" ~where:"peel"
           (Printf.sprintf
              "peeling baseline chose %d iterations but %s has a runtime \
               alignment"
              peel_amount r.Ast.ref_array)
       | Align.Known o ->
-        if Util.pos_mod (o + (peel_amount * ctx.elem)) ctx.v <> 0 then
-          report ctx ~rule:"peel" ~severity:Error ~where:"peel"
+        if Util.pos_mod (o + (peel_amount * ctx.off.elem)) ctx.off.v <> 0 then
+          report ctx ~rule:"peel" ~where:"peel"
             (Printf.sprintf
                "peeling %d iterations leaves %s misaligned (offset %d, \
                 residue %d)"
                peel_amount r.Ast.ref_array o
-               (Util.pos_mod (o + (peel_amount * ctx.elem)) ctx.v)))
+               (Util.pos_mod (o + (peel_amount * ctx.off.elem)) ctx.off.v)))
     (Ast.program_refs p.Prog.source)
 
 (* Chase a temp through its (straight-line) defining expressions. *)
@@ -891,9 +737,9 @@ let check_prologue_splices ctx defs prologue =
         let oa = addr_off ctx addr in
         match resolve defs value with
         | Expr.Splice (_, _, point) -> (
-          match Absoff.cmp ~v:ctx.v (eval_rexpr ctx point) oa with
+          match Absoff.cmp ~v:ctx.off.v (Offsets.eval_rexpr ctx.off point) oa with
           | Absoff.Refuted ->
-            report ctx ~rule:"prologue" ~severity:Error ~where
+            report ctx ~rule:"prologue" ~where
               (Format.asprintf
                  "prologue splice point %a does not match the store \
                   alignment %a (Eq. 8)"
@@ -903,7 +749,7 @@ let check_prologue_splices ctx defs prologue =
           match oa with
           | Absoff.Byte 0 -> ()
           | _ ->
-            report ctx ~rule:"prologue" ~severity:Error ~where
+            report ctx ~rule:"prologue" ~where
               (Format.asprintf
                  "unspliced prologue store at alignment %a clobbers bytes \
                   below the stream (Eq. 8)"
@@ -953,7 +799,7 @@ let check_specialized_epilogues ctx defs (p : Prog.t) trip =
       let i = exit + (k * p.Prog.block) in
       List.iter
         (fun (arr, o) ->
-          let l = ((trip - i) * ctx.elem) + o in
+          let l = ((trip - i) * ctx.off.elem) + o in
           let where = Printf.sprintf "epilogue[%d]" k in
           let stores =
             List.filter_map
@@ -967,14 +813,14 @@ let check_specialized_epilogues ctx defs (p : Prog.t) trip =
           match stores with
           | [] ->
             if l > 0 then
-              report ctx ~rule:"epilogue" ~severity:Error ~where
+              report ctx ~rule:"epilogue" ~where
                 (Printf.sprintf
                    "no store to %s at virtual iteration i=%d with %d \
                     leftover bytes (Eq. 14)"
                    arr i l)
           | value :: _ -> (
             if l <= 0 then
-              report ctx ~rule:"epilogue" ~severity:Error ~where
+              report ctx ~rule:"epilogue" ~where
                 (Printf.sprintf
                    "store to %s at virtual iteration i=%d past the trip \
                     count (leftover %d bytes)"
@@ -983,22 +829,22 @@ let check_specialized_epilogues ctx defs (p : Prog.t) trip =
               match resolve defs value with
               | Expr.Splice (_, _, point) when Rexpr.is_const point ->
                 let c = Rexpr.const_exn point in
-                if l >= ctx.v then
-                  report ctx ~rule:"epilogue" ~severity:Error ~where
+                if l >= ctx.off.v then
+                  report ctx ~rule:"epilogue" ~where
                     (Printf.sprintf
                        "spliced store to %s where %d leftover bytes demand \
                         a full store"
                        arr l)
                 else if c <> l then
-                  report ctx ~rule:"epilogue" ~severity:Error ~where
+                  report ctx ~rule:"epilogue" ~where
                     (Printf.sprintf
                        "splice point %d for %s does not match the %d \
                         leftover bytes (Eq. 9)"
                        c arr l)
               | Expr.Splice _ -> ()
               | _ ->
-                if l < ctx.v then
-                  report ctx ~rule:"epilogue" ~severity:Error ~where
+                if l < ctx.off.v then
+                  report ctx ~rule:"epilogue" ~where
                     (Printf.sprintf
                        "full store to %s where only %d leftover bytes \
                         remain (Eq. 9)"

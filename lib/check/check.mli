@@ -4,16 +4,16 @@
     Three entry points, one per IR level:
 
     - {!check_graphs} re-validates the placed data-reorganization graphs —
-      (C.2) root offset = store alignment, (C.3) matching operand offsets —
-      and runs the dead/redundant-shift lint on [vshiftstream] chains;
-    - {!check_regions} abstractly interprets emitted VIR: it propagates
-      symbolic stream offsets (the {!Absoff} lattice) through every vector
-      expression, verifying (C.3) at each [vop]/[vshiftpair]/[vsplice],
-      (C.2) at each store, the [vshiftpair] adjacency discipline (the two
-      halves must be the current and next register of one stream), plus the
-      well-formedness lints: def-before-use, the carried-temp seam
-      discipline under unrolling, single definition per carried name, and
-      in-range compile-time shift amounts and splice points;
+      (C.2) root offset = store alignment, (C.3) matching operand offsets;
+    - {!check_regions} abstractly interprets emitted VIR: the stream
+      offsets (the {!Absoff} lattice) are computed by
+      {!Simd_dataflow.Dataflow.Offsets.eval}, and the checker discharges
+      its obligations in that walk's per-node hook — (C.3) at each
+      [vop]/[vcmp]/[vshiftpair]/[vsplice]/[vsel], the [vshiftpair]
+      adjacency discipline (the two halves must be the current and next
+      register of one stream), in-range shift amounts and splice points,
+      and def-before-use — plus (C.2) at each store and the prologue's
+      initialization of every loop-carried temporary;
     - {!check_prog} adds the whole-program structural checks against the
       paper's bound formulas: LB = B (Eq. 12), UB per Eqs. 11/13/15, the
       trip guard [3B] (Eq. 16), the prologue splice point (Eq. 8), the
@@ -21,21 +21,19 @@
       specialization (Eq. 9/14), and — when a peel amount is supplied — the
       peeling baseline's alignment claim.
 
-    Violations carry a [rule] name (see [docs/CHECK.md] for the
-    catalogue), a severity ([Error] = invariant broken, [Warning] = lint),
-    the program point, and the offset derivation that failed. [facts]
-    counts how many obligations were discharged, so callers can assert the
-    checker actually proved something (non-vacuity). *)
+    Every violation is an error: a broken invariant, named by its [rule]
+    (see [docs/CHECK.md] for the catalogue), with the program point and
+    the offset derivation that failed. Wasted work in correct code is
+    [Simd.Lint]'s to report. [facts] counts how many obligations were
+    discharged, so callers can assert the checker actually proved
+    something (non-vacuity). *)
 
 open Simd_loopir
 open Simd_vir
 module Graph = Simd_dreorg.Graph
 
-type severity = Error | Warning
-
 type violation = {
   rule : string;  (** "C.2", "C.3", "adjacency", "def-before-use", ... *)
-  severity : severity;
   where : string;  (** region + statement, e.g. ["body#2"] *)
   detail : string;  (** the derivation that failed *)
 }
@@ -53,26 +51,19 @@ type result = { violations : violation list; facts : facts }
 
 val no_facts : facts
 val add_facts : facts -> facts -> facts
-val empty : result
-val merge : result -> result -> result
-val errors : result -> violation list
-val warnings : result -> violation list
-val severity_name : severity -> string
 val pp_violation : Format.formatter -> violation -> unit
+(** [error[rule] where: detail]. *)
+
 val violation_to_string : violation -> string
 val violation_to_json : violation -> Simd_support.Json.t
+(** [{"severity": "error", "rule", "where", "detail"}]. *)
+
 val facts_to_json : facts -> Simd_support.Json.t
 
 val check_graphs :
   analysis:Analysis.t -> (Ast.stmt * Graph.t) list -> result
 (** Re-validate placed reorganization graphs ((C.2)/(C.3) via
-    {!Simd_dreorg.Graph.validate}) and lint [vshiftstream] nodes whose
-    source and target offsets provably coincide — directly, or as a
-    shift/unshift pair with zero net offset change. The pair rule counts
-    consumers body-wide: a detour through a reorganization chain that
-    another statement also rides (one shared stream after value numbering,
-    {!Simd_dreorg.Graph.chains}) is paid for by the sharing and is not
-    flagged. *)
+    {!Simd_dreorg.Graph.validate}). *)
 
 val check_regions :
   analysis:Analysis.t ->

@@ -308,11 +308,6 @@ let counts (t : t) =
       | Replaced _ -> (p, r, x + 1))
     (0, 0, 0) t.statuses
 
-let error_violations (t : t) =
-  List.filter
-    (fun (_, (v : Check.violation)) -> v.Check.severity = Check.Error)
-    (Driver.check_violations t.outcome)
-
 let to_json (t : t) =
   let preserved, repaired, replaced = counts t in
   let report = Driver.report t.outcome in
@@ -328,7 +323,8 @@ let to_json (t : t) =
       ("preserved", Json.Int preserved);
       ("repaired", Json.Int repaired);
       ("replaced", Json.Int replaced);
-      ("check_errors", Json.Int (List.length (error_violations t)));
+      ( "check_errors",
+        Json.Int (List.length (Driver.check_violations t.outcome)) );
       ("cost", Json.Float report.Simd_opt.Report.total_cost);
       ("body_cost", Json.Float report.Simd_opt.Report.body_cost);
     ]

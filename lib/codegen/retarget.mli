@@ -20,7 +20,6 @@
 
 module Policy = Simd_dreorg.Policy
 module Trace = Simd_trace.Trace
-module Check = Simd_check.Check
 module Json = Simd_support.Json
 
 (** How one statement's placed graph survived the retarget. *)
@@ -92,12 +91,7 @@ val sweep :
 val counts : t -> int * int * int
 (** [(preserved, repaired, replaced)] statement totals. *)
 
-val error_violations : t -> (string * Check.violation) list
-(** Error-severity verifier violations across both retarget boundaries,
-    paired with the boundary name (empty for a clean — or check-free —
-    retarget). *)
-
 val to_json : t -> Json.t
 (** Summary object for [bench --json] / [BENCH_backends.json]: VLs,
-    per-statement statuses, status totals, error count, and the V′ cost
-    report's weighted totals. *)
+    per-statement statuses, status totals, verifier violation count, and
+    the V′ cost report's weighted totals. *)

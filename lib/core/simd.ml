@@ -21,8 +21,8 @@
     - {!Retarget}: vector-length-agnostic re-instantiation of a placed
       compilation at another V (the backend matrix's engine);
     - {!Dataflow}/{!Absoff}: the VIR dataflow engine and its offset
-      lattice; {!Check}: the pass-boundary static verifier; {!Lint}: the
-      registry-based lint driver;
+      lattice; {!Check}: the pass-boundary static verifier (errors only);
+      {!Lint}: the registry-based lint driver (waste);
     - {!Vir_expr}/{!Vir_prog}: the vector IR;
     - {!Exec}/{!Sim_run}: the simulator;
     - {!Emit_portable}/{!Emit_altivec}/{!Emit_sse}/{!Emit_avx2}/
@@ -72,12 +72,14 @@ module Vir_prog = Simd_vir.Prog
 (* Pass-pipeline tracing ({!Trace.Diff} for the structural line diffs) *)
 module Trace = Simd_trace.Trace
 
-(* Static analysis: the generic VIR dataflow engine ({!Dataflow.Live},
-   {!Dataflow.Reach}, {!Dataflow.Avail}, {!Dataflow.Offsets},
-   {!Dataflow.Cleanup}) and its offset lattice ({!Absoff}); the
-   pass-boundary verifier ({!Check}, run at every boundary via
-   [Driver.simdize ~check:true]); the registry-based linter ({!Lint},
-   surfaced as [simdize --lint] and [bin/simdlint.exe]) *)
+(* Static analysis — Dataflow computes, Check proves, Lint reports: the
+   generic VIR dataflow engine ({!Dataflow.Live}, {!Dataflow.Reach},
+   {!Dataflow.Avail}, {!Dataflow.Offsets} — the one stream-offset
+   evaluator — and {!Dataflow.Cleanup}) with its offset lattice
+   ({!Absoff}); the pass-boundary verifier ({!Check}, errors only, run at
+   every boundary via [Driver.simdize ~check:true]); the registry-based
+   linter of wasted work ({!Lint}, surfaced as [simdize --lint] and
+   [bin/simdlint.exe]) *)
 module Dataflow = Simd_dataflow.Dataflow
 module Absoff = Simd_dataflow.Absoff
 module Check = Simd_check.Check

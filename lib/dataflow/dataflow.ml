@@ -16,8 +16,6 @@
 
 open Simd_vir
 module Util = Simd_support.Util
-module Graph = Simd_dreorg.Graph
-module Offset = Simd_dreorg.Offset
 module SM = Util.String_map
 module SS = Util.String_set
 
@@ -399,32 +397,66 @@ module Offsets = struct
   let eval_rexpr ctx r =
     Absoff.eval_rexpr ~v:ctx.v ~elem:ctx.elem ~lookup:ctx.lookup r
 
-  (** The diagnostic-free mirror of the checker's abstract evaluation:
-      the abstract stream offset of [e] in environment [env]. The
-      checker re-runs the same arms with reporting on; keeping the two
-      in lockstep is what lets it reuse {!entry} below. *)
-  let rec eval ctx env e =
+  (** The abstract stream offset of [e] in environment [env]. [visit]
+      sees every node post-order, with its operands' offsets in operand
+      order; the checker discharges its per-node obligations there. *)
+  let eval ?(visit = fun _ _ -> ()) ctx env e =
     let v = ctx.v in
-    let go e = eval ctx env e in
-    match e with
-    | Expr.Load a -> load_off ctx a
-    | Expr.Splat _ -> Absoff.Bot
-    | Expr.Temp x -> (
-      match SM.find_opt x env with Some o -> o | None -> Absoff.Top)
-    | Expr.Op (_, a, b) | Expr.Cmp (_, a, b) ->
-      Absoff.merge ~v (go a) (go b)
-    | Expr.Shiftpair (x, y, _) when Expr.equal_vexpr x y ->
-      (* register rotation: lanes no longer denote stream offsets *)
-      Absoff.Top
-    | Expr.Shiftpair (x, y, s) ->
-      Absoff.sub ~v (Absoff.merge ~v (go x) (go y)) (eval_rexpr ctx s)
-    | Expr.Splice (x, y, _) -> Absoff.merge ~v (go x) (go y)
-    | Expr.Pack (x, y) -> (
-      match (go x, go y) with
-      | Absoff.Byte 0, Absoff.Byte 0 -> Absoff.Byte 0
-      | _ -> Absoff.Top)
-    | Expr.Sel (m, a, b) ->
-      Absoff.merge ~v (go m) (Absoff.merge ~v (go a) (go b))
+    let rec go e =
+      match e with
+      | Expr.Load a ->
+        visit e [];
+        load_off ctx a
+      | Expr.Splat _ ->
+        visit e [];
+        Absoff.Bot
+      | Expr.Temp x -> (
+        visit e [];
+        match SM.find_opt x env with Some o -> o | None -> Absoff.Top)
+      | Expr.Op (_, a, b) | Expr.Cmp (_, a, b) ->
+        let oa = go a in
+        let ob = go b in
+        visit e [ oa; ob ];
+        Absoff.merge ~v oa ob
+      | Expr.Shiftpair (x, y, _) when Expr.equal_vexpr x y ->
+        (* Register rotation (reduction finalization): lane positions no
+           longer denote stream offsets. The result is Top, not Bot — a
+           half-reduced register is not lane-uniform, so treating it as
+           "matches anything" would falsely discharge the (C.3)
+           obligations of the combining ops downstream. The one register
+           is still evaluated once, so [visit] sees inside it. *)
+        let ox = go x in
+        visit e [ ox; ox ];
+        Absoff.Top
+      | Expr.Shiftpair (x, y, s) ->
+        let ox = go x in
+        let oy = go y in
+        visit e [ ox; oy ];
+        (* Selecting V bytes starting [s] bytes into the pair moves the
+           stream offset down by [s] (mod V) — both the left and right
+           lowering of a [from -> to] stream shift reduce to this. *)
+        Absoff.sub ~v (Absoff.merge ~v ox oy) (eval_rexpr ctx s)
+      | Expr.Splice (x, y, _) ->
+        let ox = go x in
+        let oy = go y in
+        visit e [ ox; oy ];
+        Absoff.merge ~v ox oy
+      | Expr.Pack (x, y) -> (
+        let ox = go x in
+        let oy = go y in
+        visit e [ ox; oy ];
+        (* Strided gathers window every chunk to offset 0 before packing. *)
+        match (ox, oy) with
+        | Absoff.Byte 0, Absoff.Byte 0 -> Absoff.Byte 0
+        | _ -> Absoff.Top)
+      | Expr.Sel (m, a, b) ->
+        let om = go m in
+        let oa = go a in
+        let ob = go b in
+        visit e [ om; oa; ob ];
+        Absoff.merge ~v om (Absoff.merge ~v oa ob)
+    in
+    go e
 
   let transfer ctx ~idx:_ env = function
     | Expr.Assign (x, e) -> SM.add x (eval ctx env e) env
@@ -443,59 +475,6 @@ module Offsets = struct
     fixpoint ~rounds:4 ~equal:env_equal ~widen:widen_env
       ~f:(fun env -> exec ctx env body)
       env0
-end
-
-(* ------------------------------------------------------------------ *)
-(* Dead / cancelling stream shifts (graph level)                       *)
-(* ------------------------------------------------------------------ *)
-
-module Deadshift = struct
-  type finding =
-    | No_op of { from_ : Offset.t; to_ : Offset.t }
-        (** a [vshiftstream] whose source and target offsets provably
-            coincide *)
-    | Cancelling of { f1 : Offset.t; t1 : Offset.t; to_ : Offset.t }
-        (** a shift pair [f1 -> t1 -> to_] that returns the stream to
-            its original offset through an unshared detour *)
-
-  (** Pre-order scan of a reorganization graph for wasted shifts.
-      [shared c] answers whether chain [c] has another consumer
-      body-wide (a detour feeding two statements is not dead). *)
-  let find ~block ~shared root =
-    let acc = ref [] in
-    let note f = acc := f :: !acc in
-    let rec go (n : Graph.node) =
-      (match n with
-      | Graph.Shift (src, from, to_) -> (
-        if Offset.matches ~block from to_ then
-          note (No_op { from_ = from; to_ });
-        match src with
-        | Graph.Shift (_, f1, t1)
-          when Offset.matches ~block t1 from
-               && Offset.matches ~block f1 to_
-               && (not (Offset.matches ~block from to_))
-               && not
-                    (match Graph.chain_of src with
-                    | Some c -> shared c
-                    | None -> false) ->
-          note (Cancelling { f1; t1; to_ })
-        | _ -> ())
-      | Graph.Load _ | Graph.Strided _ | Graph.Splat _ | Graph.Op _
-      | Graph.Cmp _ | Graph.Sel _ ->
-        ());
-      match n with
-      | Graph.Op (_, a, b) | Graph.Cmp (_, a, b) ->
-        go a;
-        go b
-      | Graph.Sel (m, a, b) ->
-        go m;
-        go a;
-        go b
-      | Graph.Shift (src, _, _) -> go src
-      | Graph.Load _ | Graph.Strided _ | Graph.Splat _ -> ()
-    in
-    go root;
-    List.rev !acc
 end
 
 (* ------------------------------------------------------------------ *)

@@ -7,9 +7,10 @@
     shipped analyses: liveness ({!Live}), reaching definitions and the
     carried-temp discipline ({!Reach} / {!Defs}), available shift
     expressions ({!Avail}), and stream-offset constant propagation on
-    the {!Absoff} lattice ({!Offsets}). {!Deadshift} is the graph-level
-    wasted-shift scan, and {!Cleanup} is the dataflow-backed rewriter
-    behind the driver's [vir_cleanup] pass and the linter's evidence.
+    the {!Absoff} lattice ({!Offsets}, the one stream-offset evaluator,
+    whose per-node hook carries the verifier's obligations). {!Cleanup}
+    is the dataflow-backed rewriter behind the driver's [vir_cleanup]
+    pass and the linter's evidence.
 
     Statement numbering convention (shared with [Simd.Check]):
     statements are numbered by top-level position in their region;
@@ -158,9 +159,18 @@ module Offsets : sig
   val load_off : ctx -> Addr.t -> Absoff.t
   val eval_rexpr : ctx -> Rexpr.t -> Absoff.t
 
-  val eval : ctx -> Absoff.t SM.t -> Expr.vexpr -> Absoff.t
-  (** The abstract stream offset of an expression — the diagnostic-free
-      mirror of the checker's evaluation. *)
+  val eval :
+    ?visit:(Expr.vexpr -> Absoff.t list -> unit) ->
+    ctx ->
+    Absoff.t SM.t ->
+    Expr.vexpr ->
+    Absoff.t
+  (** The abstract stream offset of an expression. [visit] is called on
+      every node post-order, once per node, with the offsets of its
+      operands in operand order ([[]] for leaves). A register rotation
+      [vshiftpair(x, x, s)] evaluates [x] once and passes its offset for
+      both halves; the rotation's own result is [Top]. [Simd.Check]
+      discharges its per-node proof obligations in [visit]. *)
 
   val transfer : ctx -> idx:int -> Absoff.t SM.t -> Expr.stmt -> Absoff.t SM.t
 
@@ -170,26 +180,6 @@ module Offsets : sig
   val entry : ctx -> Absoff.t SM.t -> Expr.stmt list -> Absoff.t SM.t
   (** The loop-entry environment: widened fixpoint of the body transfer
       from the prologue exit. *)
-end
-
-(** {1 Dead / cancelling stream shifts (graph level)} *)
-
-module Deadshift : sig
-  type finding =
-    | No_op of { from_ : Simd_dreorg.Offset.t; to_ : Simd_dreorg.Offset.t }
-    | Cancelling of {
-        f1 : Simd_dreorg.Offset.t;
-        t1 : Simd_dreorg.Offset.t;
-        to_ : Simd_dreorg.Offset.t;
-      }
-
-  val find :
-    block:int ->
-    shared:(Simd_dreorg.Graph.chain -> bool) ->
-    Simd_dreorg.Graph.node ->
-    finding list
-  (** Pre-order scan for no-op shifts and cancelling shift pairs.
-      [shared] answers whether a chain has another consumer body-wide. *)
 end
 
 (** {1 The cleanup rewriter} *)

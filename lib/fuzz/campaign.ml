@@ -3,18 +3,15 @@
     driven by the seed — two campaigns with the same seed and budget
     produce identical cases, outcomes, and minimized reproducers.
 
-    Campaigns come in two shapes:
-
-    - {!run}: the original single-stream loop — one {!Simd_support.Prng}
-      stream drives all [budget] cases in order.
-    - {!plan} / {!run_chunk} / {!merge}: deterministic chunked sharding,
-      the unit of work of the parallel pool ({!Simd_par}). The campaign
-      seed derives one independent PRNG stream per fixed-size chunk
-      (SplitMix64 stream splitting), so a chunk's cases, outcomes, and
-      minimized reproducers depend only on [(seed, chunk index)] — never
-      on which worker ran it or how many workers there were. Merging the
-      chunk results in index order therefore yields byte-identical
-      aggregate output for any [--jobs N]. *)
+    A campaign is a deterministic chunk plan ({!plan} / {!run_chunk} /
+    {!merge}), the unit of work of the parallel pool ({!Simd_par}). The
+    campaign seed derives one independent PRNG stream per fixed-size
+    chunk (SplitMix64 stream splitting), so a chunk's cases, outcomes,
+    and minimized reproducers depend only on [(seed, chunk index)] —
+    never on which worker ran it or how many workers there were. Merging
+    the chunk results in index order therefore yields byte-identical
+    aggregate output for any [--jobs N], and {!run} (the plan run
+    in-process) checks the same cases. *)
 
 module Prng = Simd_support.Prng
 module Json = Simd_support.Json
@@ -86,45 +83,6 @@ type failure = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Shared case loop                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let check_cases ~shrink ~shrink_steps ~bisect ~oracle ~on_case ~prng ~first
-    ~count:n =
-  let stats = ref zero_stats in
-  let failures = ref [] in
-  for local = 0 to n - 1 do
-    let index = first + local in
-    let case = Genloop.gen_case prng in
-    let outcome = oracle case in
-    on_case index case outcome;
-    stats := count !stats outcome;
-    if Oracle.is_failure outcome then begin
-      let minimized =
-        if shrink then Shrink.minimize ~max_steps:shrink_steps ~oracle case
-        else case
-      in
-      let culprit = if bisect then Some (Bisect.run minimized) else None in
-      failures := { index; case; minimized; outcome; culprit } :: !failures
-    end
-  done;
-  (!stats, List.rev !failures)
-
-(** [run ~seed ~budget ()] — generate and check [budget] cases derived from
-    [seed]. [shrink] (default true) minimizes each failure;
-    [shrink_steps] bounds each minimization; [bisect] (default true) names
-    the first diverging pass of each minimized failure; [oracle] (default
-    {!Oracle.run}) classifies each case and drives shrinking. [on_case]
-    observes every (index, case, outcome) as it happens — the CLI uses it
-    for progress, tests for determinism checks. *)
-let run ?(shrink = true) ?(shrink_steps = 1500) ?(bisect = true)
-    ?(oracle = Oracle.run) ?(on_case = fun _ _ _ -> ()) ~seed ~budget () :
-    stats * failure list =
-  let prng = Prng.create ~seed in
-  check_cases ~shrink ~shrink_steps ~bisect ~oracle ~on_case ~prng ~first:0
-    ~count:budget
-
-(* ------------------------------------------------------------------ *)
 (* Deterministic chunked sharding                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -169,8 +127,24 @@ let run_chunk ?(shrink = true) ?(shrink_steps = 1500) ?(bisect = true)
     ?(oracle = Oracle.run) ?(on_case = fun _ _ _ -> ()) (c : chunk) :
     stats * failure list =
   let prng = Prng.create ~seed:c.chunk_seed in
-  check_cases ~shrink ~shrink_steps ~bisect ~oracle ~on_case ~prng
-    ~first:c.first ~count:c.size
+  let stats = ref zero_stats in
+  let failures = ref [] in
+  for local = 0 to c.size - 1 do
+    let index = c.first + local in
+    let case = Genloop.gen_case prng in
+    let outcome = oracle case in
+    on_case index case outcome;
+    stats := count !stats outcome;
+    if Oracle.is_failure outcome then begin
+      let minimized =
+        if shrink then Shrink.minimize ~max_steps:shrink_steps ~oracle case
+        else case
+      in
+      let culprit = if bisect then Some (Bisect.run minimized) else None in
+      failures := { index; case; minimized; outcome; culprit } :: !failures
+    end
+  done;
+  (!stats, List.rev !failures)
 
 (** [merge results] — aggregate per-chunk results (given in plan order)
     into campaign totals; failures come back sorted by campaign index. *)
@@ -181,3 +155,16 @@ let merge (results : (stats * failure list) list) : stats * failure list =
     |> List.sort (fun a b -> compare a.index b.index)
   in
   (stats, failures)
+
+(** [run ~seed ~budget ()] — the campaign's chunk plan run in-process, in
+    plan order. [shrink] (default true) minimizes each failure;
+    [shrink_steps] bounds each minimization; [bisect] (default true) names
+    the first diverging pass of each minimized failure; [oracle] (default
+    {!Oracle.run}) classifies each case and drives shrinking. [on_case]
+    observes every (index, case, outcome) as it happens — tests use it
+    for determinism checks. *)
+let run ?shrink ?shrink_steps ?bisect ?oracle ?on_case ~seed ~budget () =
+  merge
+    (List.map
+       (run_chunk ?shrink ?shrink_steps ?bisect ?oracle ?on_case)
+       (plan ~seed ~budget ()))

@@ -1,10 +1,11 @@
 (** Fuzzing campaigns: a seeded, reproducible budget of generated cases
     classified through the oracle, with failures minimized.
 
-    {!run} is the single-stream loop; {!plan}/{!run_chunk}/{!merge} are
-    the deterministic chunked form the parallel pool ({!Simd_par})
-    schedules: each chunk's PRNG stream is split from the campaign seed,
-    so aggregate results are byte-identical for any worker count. *)
+    A campaign is the deterministic chunk plan ({!plan}/{!run_chunk}/
+    {!merge}) the parallel pool ({!Simd_par}) schedules: each chunk's
+    PRNG stream is split from the campaign seed, so aggregate results are
+    byte-identical for any worker count. {!run} runs the same plan
+    in-process. *)
 
 type stats = {
   total : int;
@@ -29,21 +30,6 @@ type failure = {
       (** pipeline bisection of the minimized case — the first pass whose
           output diverges; [None] when bisection was not requested *)
 }
-
-val run :
-  ?shrink:bool ->
-  ?shrink_steps:int ->
-  ?bisect:bool ->
-  ?oracle:(Case.t -> Oracle.outcome) ->
-  ?on_case:(int -> Case.t -> Oracle.outcome -> unit) ->
-  seed:int ->
-  budget:int ->
-  unit ->
-  stats * failure list
-(** Same seed and budget ⇒ identical cases, outcomes, reproducers, and
-    bisection verdicts. [bisect] (default true) runs {!Bisect.run} on each
-    minimized failure; [oracle] (default {!Oracle.run}) classifies cases
-    and drives shrinking. *)
 
 (** {2 Deterministic chunked sharding} *)
 
@@ -76,3 +62,20 @@ val run_chunk :
 val merge : (stats * failure list) list -> stats * failure list
 (** Aggregate per-chunk results (in plan order) into campaign totals;
     failures sorted by campaign index. *)
+
+val run :
+  ?shrink:bool ->
+  ?shrink_steps:int ->
+  ?bisect:bool ->
+  ?oracle:(Case.t -> Oracle.outcome) ->
+  ?on_case:(int -> Case.t -> Oracle.outcome -> unit) ->
+  seed:int ->
+  budget:int ->
+  unit ->
+  stats * failure list
+(** [merge (List.map run_chunk (plan ~seed ~budget ()))]: the cases,
+    outcomes, reproducers and bisection verdicts of a parallel campaign
+    with the same seed and budget (at the default chunk size), for any
+    worker count. [bisect] (default true) runs {!Bisect.run} on each
+    minimized failure; [oracle] (default {!Oracle.run}) classifies cases
+    and drives shrinking. *)

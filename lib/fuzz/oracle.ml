@@ -56,19 +56,14 @@ let starts_with ~prefix s =
   && String.sub s 0 (String.length prefix) = prefix
 
 (* The static half of the oracle: compile once with the pass-boundary
-   verifier on and surface the first Error-severity violation, prefixed
-   with the boundary that introduced it. Scalar fallbacks and warnings
-   fall through to the dynamic differential below. *)
+   verifier on and surface the first violation, prefixed with the
+   boundary that introduced it. Scalar fallbacks fall through to the
+   dynamic differential below. *)
 let static_check (c : Case.t) : string option =
   match Driver.simdize ~check:true c.Case.config c.Case.program with
   | Driver.Scalar _ -> None
   | Driver.Simdized o -> (
-    match
-      List.filter
-        (fun ((_ : string), (v : Driver.Check.violation)) ->
-          v.Driver.Check.severity = Driver.Check.Error)
-        (Driver.check_violations o)
-    with
+    match Driver.check_violations o with
     | [] -> None
     | (boundary, v) :: _ ->
       Some

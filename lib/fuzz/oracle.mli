@@ -16,5 +16,5 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val run : Case.t -> outcome
 (** Classify one case: static verifier first ([Static_violation] when a
-    [~check:true] compilation reports an error-severity violation), then
-    the dynamic differential. Never raises. *)
+    [~check:true] compilation reports a violation), then the dynamic
+    differential. Never raises. *)

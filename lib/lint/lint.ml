@@ -16,19 +16,21 @@
     (shift-amount range, mask uniformity, unused streams) are structural
     walks over the same IR.
 
-    Severity maps onto exit codes in exactly one place ({!exit_code}):
+    Severity is the linter's alone (the verifier's violations are all
+    errors) and maps onto exit codes in exactly one place ({!exit_code}):
     any [Error] finding exits 2, warnings exit 1 under [~strict:true]
-    and 0 otherwise — shared verbatim by [simdlint.exe],
-    [simdize --lint] and [simdize --check]. *)
+    and 0 otherwise — shared verbatim by [simdlint.exe] and
+    [simdize --lint]. *)
 
 open Simd_vir
-module Check = Simd_check.Check
 module Dataflow = Simd_dataflow.Dataflow
 module Driver = Simd_codegen.Driver
 module Json = Simd_support.Json
 module SS = Simd_support.Util.String_set
 
-type severity = Check.severity = Error | Warning
+type severity = Error | Warning
+
+let severity_name = function Error -> "error" | Warning -> "warning"
 
 type finding = {
   rule : string;
@@ -385,15 +387,8 @@ let exit_code ~strict (r : report) =
 (* ------------------------------------------------------------------ *)
 
 let pp_finding fmt (f : finding) =
-  Format.fprintf fmt "%s %s [%s]: %s"
-    (Check.severity_name f.severity)
-    f.where f.rule f.detail
-
-let pp_report fmt (r : report) =
-  List.iter (fun f -> Format.fprintf fmt "%a@\n" pp_finding f) r.findings;
-  Format.fprintf fmt "%d error(s), %d warning(s)" r.errors r.warnings
-
-let report_to_string (r : report) = Format.asprintf "%a" pp_report r
+  Format.fprintf fmt "%s %s [%s]: %s" (severity_name f.severity) f.where
+    f.rule f.detail
 
 let report_to_json (r : report) : Json.t =
   Json.Obj
@@ -406,7 +401,7 @@ let report_to_json (r : report) : Json.t =
                Json.Obj
                  [
                    ("rule", Json.String f.rule);
-                   ("severity", Json.String (Check.severity_name f.severity));
+                   ("severity", Json.String (severity_name f.severity));
                    ("where", Json.String f.where);
                    ("detail", Json.String f.detail);
                  ])

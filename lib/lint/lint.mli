@@ -4,7 +4,10 @@
     the implementation header for the rule catalogue and the exit-code
     contract. *)
 
-type severity = Simd_check.Check.severity = Error | Warning
+type severity = Error | Warning
+
+val severity_name : severity -> string
+(** ["error"] or ["warning"], as printed and serialized. *)
 
 type finding = {
   rule : string;  (** registry name, e.g. ["dead-vop"] *)
@@ -36,13 +39,12 @@ val run : Simd_codegen.Driver.outcome -> report
 val clean : report -> bool
 
 val exit_code : strict:bool -> report -> int
-(** The one exit-code policy shared by [simdlint.exe], [simdize --lint]
-    and [simdize --check]: any error exits [2]; warnings exit [1] under
-    [~strict:true] and [0] otherwise; a clean report exits [0]. *)
+(** The one exit-code policy shared by [simdlint.exe] and
+    [simdize --lint]: any error exits [2]; warnings exit [1] under
+    [~strict:true] and [0] otherwise; a clean report exits [0].
+    ([simdize --check] exits [2] on any verifier violation.) *)
 
 val pp_finding : Format.formatter -> finding -> unit
-val pp_report : Format.formatter -> report -> unit
-val report_to_string : report -> string
 
 val report_to_json : report -> Simd_support.Json.t
 (** The [simd-lint/1] document: schema tag, findings, per-rule counts

@@ -25,7 +25,7 @@ type artifact = {
   outputs : (string * output) list;
       (** emit name → output, in request order: ["vir"], ["c"], ... *)
   report : Json.t;  (** the {!Simd_opt.Report} cost document *)
-  check_ok : bool;  (** no error-severity static-verifier violations *)
+  check_ok : bool;  (** no static-verifier violations *)
   check : Json.t;  (** per-boundary violations + discharged facts *)
   lint : Json.t;  (** the simd-lint/1 report ({!Simd_lint.Lint}) *)
 }

@@ -119,7 +119,7 @@ let test_matrix_rows () =
         check_int
           (Backend.name b ^ " zero check errors")
           0
-          (List.length (Retarget.error_violations t));
+          (List.length (Driver.check_violations t.Retarget.outcome));
         (* the row's unit emits through its own backend *)
         (match Simd.Matrix.unit_of_row row with
         | Some c -> check_bool (Backend.name b ^ " unit") true (String.length c > 0)

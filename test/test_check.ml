@@ -1,8 +1,8 @@
 (* The static verifier (Simd.Check): the Absoff lattice, the clean sweep
    over the whole corpus under every suite scheme and vector length, the
    re-injected PR-1 seam miscompilation caught *statically* at the unroll
-   boundary, hand-tampered VIR negative tests, the dead-shift lint vs the
-   cost report, and the fuzz-oracle static failure class. *)
+   boundary, hand-tampered VIR negative tests, and the fuzz-oracle static
+   failure class. *)
 
 open Simd
 
@@ -97,8 +97,8 @@ let sweep_configs vector_len =
   ]
 
 (* Every corpus program, under every scheme and V in {8,16,32}, must
-   compile with zero error-severity violations — and the discharged
-   obligations must be non-vacuous in aggregate. *)
+   compile with zero violations — and the discharged obligations must be
+   non-vacuous in aggregate. *)
 let test_corpus_sweep () =
   let files =
     Sys.readdir corpus_dir |> Array.to_list
@@ -121,10 +121,9 @@ let test_corpus_sweep () =
                 boundaries := !boundaries + List.length o.Driver.checks;
                 facts := Check.add_facts !facts (Driver.check_facts o);
                 List.iter
-                  (fun (boundary, (viol : Check.violation)) ->
-                    if viol.Check.severity = Check.Error then
-                      Alcotest.failf "%s (V=%d): at %s: %s" file vl boundary
-                        (Check.violation_to_string viol))
+                  (fun (boundary, viol) ->
+                    Alcotest.failf "%s (V=%d): at %s: %s" file vl boundary
+                      (Check.violation_to_string viol))
                   (Driver.check_violations o))
             (sweep_configs vl))
         [ 8; 16; 32 ])
@@ -155,10 +154,9 @@ let test_fuzz_corpus_static_clean () =
              | Driver.Scalar _ -> ()
              | Driver.Simdized o ->
                List.iter
-                 (fun (boundary, (viol : Check.violation)) ->
-                   if viol.Check.severity = Check.Error then
-                     Alcotest.failf "%s: at %s: %s" f boundary
-                       (Check.violation_to_string viol))
+                 (fun (boundary, viol) ->
+                   Alcotest.failf "%s: at %s: %s" f boundary
+                     (Check.violation_to_string viol))
                  (Driver.check_violations o)))
 
 (* ------------------------------------------------------------------ *)
@@ -187,11 +185,7 @@ let test_seam_bug_detected_statically () =
     | Driver.Simdized o -> Driver.check_violations o
   in
   (* healthy compiler: clean *)
-  check_int "no errors without the bug" 0
-    (List.length
-       (List.filter
-          (fun (_, (viol : Check.violation)) -> viol.Check.severity = Check.Error)
-          (compile ())));
+  check_int "no errors without the bug" 0 (List.length (compile ()));
   (* buggy coalescer: the verifier alone refutes the seam *)
   Passes.unsafe_unroll_seam_coalesce_bug := true;
   let violations =
@@ -203,7 +197,6 @@ let test_seam_bug_detected_statically () =
     List.filter
       (fun (boundary, (viol : Check.violation)) ->
         boundary = "unroll"
-        && viol.Check.severity = Check.Error
         && (viol.Check.rule = "carried-clobber"
            || viol.Check.rule = "unroll-equiv"))
       violations
@@ -241,7 +234,7 @@ let test_check_unroll_tamper () =
   let block = analysis.Analysis.block in
   let good = Passes.unroll ~block ~factor:2 pre in
   let r = Check.check_unroll ~analysis ~factor:2 ~pre ~post:good in
-  check_int "correct unroll validates" 0 (List.length (Check.errors r));
+  check_int "correct unroll validates" 0 (List.length r.Check.violations);
   check_bool "seams counted" true (r.Check.facts.Check.seams_proved > 0);
   (* drop the coalesced restore of the carried temp [t0]: it ends the
      unrolled body holding a stale value — exactly the PR-1 clobber *)
@@ -254,7 +247,7 @@ let test_check_unroll_tamper () =
   check_bool "missing restores refuted" true
     (List.exists
        (fun (viol : Check.violation) -> viol.Check.rule = "carried-clobber")
-       (Check.errors r));
+       r.Check.violations);
   (* a displaced store: the store sequences diverge *)
   let skewed =
     List.map
@@ -268,7 +261,7 @@ let test_check_unroll_tamper () =
   check_bool "skewed stores refuted" true
     (List.exists
        (fun (viol : Check.violation) -> viol.Check.rule = "unroll-equiv")
-       (Check.errors r))
+       r.Check.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Hand-tampered VIR: each invariant refutable in isolation            *)
@@ -285,7 +278,8 @@ let tamper_fixture () =
 let addr arr off = { Vir_addr.array = arr; offset = off; scale = 1 }
 
 let regions_errors analysis ~prologue ~body =
-  Check.errors (Check.check_regions ~analysis ~prologue ~body ~epilogues:[] ())
+  (Check.check_regions ~analysis ~prologue ~body ~epilogues:[] ())
+    .Check.violations
 
 let has_rule rule errors =
   List.exists (fun (viol : Check.violation) -> viol.Check.rule = rule) errors
@@ -347,82 +341,6 @@ let test_tampered_vir_refuted () =
   check_bool "out-of-range amount refuted" true (has_rule "range" range)
 
 (* ------------------------------------------------------------------ *)
-(* Dead-shift lint vs the cost report                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The committed minimized example: the zero policy detours the stream
-   through offset 0 and back — the lint flags the pair, the graphs carry
-   exactly those two shifts, and the exact placement's graphs carry
-   none. *)
-let test_dead_shift_lint_agrees_with_stats () =
-  let program =
-    Parse.program_of_string
-      (read_file (Filename.concat corpus_dir "dead-shift-zero-policy.simd"))
-  in
-  let compile policy =
-    Driver.simdize_exn ~check:true
-      { Driver.default with Driver.policy; reuse = Driver.No_reuse }
-      program
-  in
-  let zero = compile Policy.Zero in
-  let dead_shifts =
-    List.filter
-      (fun (_, (viol : Check.violation)) -> viol.Check.rule = "dead-shift")
-      (Driver.check_violations zero)
-  in
-  check_bool "lint fires on the zero policy" true (dead_shifts <> []);
-  check_bool "lint is a warning, not an error" true
-    (List.for_all
-       (fun (_, (viol : Check.violation)) ->
-         viol.Check.severity = Check.Warning)
-       dead_shifts);
-  let shift_count o =
-    List.fold_left
-      (fun acc (_, g) -> acc + Graph.graph_shift_count g)
-      0 o.Driver.graphs
-  in
-  let optimal = compile Policy.Optimal in
-  check_int "exact placement has no shifts" 0 (shift_count optimal);
-  check_bool "zero policy pays for the flagged pair" true
-    (shift_count zero >= 2);
-  check_int "exact placement is lint-clean" 0
-    (List.length (Driver.check_violations optimal))
-
-(* The pair rule counts consumers body-wide: when another statement rides
-   the same reorganization chain, the detour is one shared vshiftstream
-   after value numbering and must not be flagged. Dropping the second
-   consumer (reading an unrelated array instead) re-arms the lint. *)
-let test_dead_shift_shared_suppression () =
-  let compile src =
-    Driver.simdize_exn ~check:true
-      { Driver.default with
-        Driver.policy = Policy.Zero;
-        reuse = Driver.No_reuse;
-      }
-      (Parse.program_of_string src)
-  in
-  let dead_shifts o =
-    List.filter
-      (fun (_, (viol : Check.violation)) -> viol.Check.rule = "dead-shift")
-      (Driver.check_violations o)
-  in
-  let shared =
-    compile
-      "int32 a[128] @ 4;\nint32 b[128] @ 4;\nint32 c[128] @ 0;\n\
-       for (i = 0; i < 100; i++) { a[i] = b[i]; c[i] = b[i]; }"
-  in
-  check_bool "pair over a shared chain is not flagged" true
-    (dead_shifts shared = []);
-  let unshared =
-    compile
-      "int32 a[128] @ 4;\nint32 b[128] @ 4;\nint32 c[128] @ 0;\n\
-       int32 d[128] @ 0;\n\
-       for (i = 0; i < 100; i++) { a[i] = b[i]; c[i] = d[i]; }"
-  in
-  check_bool "same pair without the second consumer is flagged" true
-    (dead_shifts unshared <> [])
-
-(* ------------------------------------------------------------------ *)
 (* Plumbing: outcome.checks, campaign counting                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -470,10 +388,6 @@ let suite =
           test_check_unroll_tamper;
         Alcotest.test_case "tampered VIR refuted per rule" `Quick
           test_tampered_vir_refuted;
-        Alcotest.test_case "dead-shift lint agrees with stats" `Quick
-          test_dead_shift_lint_agrees_with_stats;
-        Alcotest.test_case "dead-shift lint spares shared chains" `Quick
-          test_dead_shift_shared_suppression;
         Alcotest.test_case "outcome.checks plumbing" `Quick
           test_checks_plumbing;
         Alcotest.test_case "campaign counts static violations" `Quick

@@ -2,7 +2,7 @@
    Dataflow.Cleanup): the committed witness strictly reduces steady-state
    vop counts, the pass is a semantic no-op over the whole corpus under
    every policy and vector length (simulator agreement + zero
-   error-severity static-verifier violations), and the placement cost
+   static-verifier violations), and the placement cost
    report is unaffected (so joint <= optimal <= heuristics orderings are
    untouched). *)
 
@@ -76,10 +76,9 @@ let test_witness_actions_and_fixpoint () =
       case.Fuzz.Case.program
   in
   List.iter
-    (fun (boundary, (viol : Check.violation)) ->
-      if viol.Check.severity = Check.Error then
-        Alcotest.failf "witness: at %s: %s" boundary
-          (Check.violation_to_string viol))
+    (fun (boundary, viol) ->
+      Alcotest.failf "witness: at %s: %s" boundary
+        (Check.violation_to_string viol))
     (Driver.check_violations o);
   (* cleanup already ran: a second dry run finds nothing left to do *)
   let v = Machine.vector_len o.Driver.analysis.Analysis.machine in
@@ -134,11 +133,10 @@ let test_cleanup_is_semantic_noop () =
               | Driver.Scalar _ -> ()
               | Driver.Simdized o -> (
                 List.iter
-                  (fun (boundary, (viol : Check.violation)) ->
-                    if viol.Check.severity = Check.Error then
-                      Alcotest.failf "%s (V=%d, %s): at %s: %s" file vl
-                        (Policy.name policy) boundary
-                        (Check.violation_to_string viol))
+                  (fun (boundary, viol) ->
+                    Alcotest.failf "%s (V=%d, %s): at %s: %s" file vl
+                      (Policy.name policy) boundary
+                      (Check.violation_to_string viol))
                   (Driver.check_violations o);
                 (* differential simulation against the scalar interpreter *)
                 match

@@ -1,6 +1,7 @@
 (* The lint driver (Simd.Lint): the rule registry, the acceptance
-   corpus programs (dead-shift-zero-policy flagged, the cleanup witness
-   dirty-then-clean, shared streams not flagged), hand-tampered VIR
+   corpus programs (dead-shift-zero-policy flagged, zero-policy detours
+   flagged whether or not another statement rides them, the cleanup
+   witness dirty-then-clean, shared streams not flagged), hand-tampered VIR
    negative tests for the structural rules, the simd-lint/1 JSON shape,
    and the unified exit codes end-to-end through simdlint.exe and
    simdize --lint. *)
@@ -68,23 +69,65 @@ let test_registry () =
 (* Acceptance programs                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* Every stream of the committed program already sits at offset 4, so the
+   zero policy's detour through offset 0 is waste: the emitted shifts are
+   redundant, the exact placement places none, and the verifier (which
+   proves, and reports no waste) passes the detour clean. *)
 let test_dead_shift_zero_policy_flagged () =
-  let o =
-    compile
-      ~config:
-        {
-          Driver.default with
-          Driver.policy = Policy.Zero;
-          reuse = Driver.No_reuse;
-        }
-      "dead-shift-zero-policy.simd"
+  let compile_with policy =
+    let program =
+      Parse.program_of_string
+        (read_file (Filename.concat corpus_dir "dead-shift-zero-policy.simd"))
+    in
+    Driver.simdize_exn ~check:true
+      { Driver.default with Driver.policy; reuse = Driver.No_reuse }
+      program
   in
+  let o = compile_with Policy.Zero in
   let r = Lint.run o in
   check_bool "zero-policy detour is flagged" true
-    (count "redundant-shift" r > 0 || count "dead-vop" r > 0);
+    (count "redundant-shift" r > 0);
   check_int "no error-severity findings" 0 r.Lint.errors;
   check_int "strict escalates warnings" 1 (Lint.exit_code ~strict:true r);
-  check_int "non-strict tolerates warnings" 0 (Lint.exit_code ~strict:false r)
+  check_int "non-strict tolerates warnings" 0 (Lint.exit_code ~strict:false r);
+  check_int "the verifier finds nothing to refute" 0
+    (List.length (Driver.check_violations o));
+  let optimal = compile_with Policy.Optimal in
+  check_int "exact placement places no shift" 0
+    (List.fold_left
+       (fun acc (_, g) -> acc + Graph.graph_shift_count g)
+       0 optimal.Driver.graphs)
+
+(* The zero policy's 4 -> 0 -> 4 detour wastes shifts whether or not
+   another statement rides the same reorganization chain: both programs
+   lint dirty as placed and clean after the cleanup pass. *)
+let test_zero_policy_detours_flagged () =
+  List.iter
+    (fun (label, src) ->
+      let lint cleanup =
+        Lint.run
+          (Driver.simdize_exn
+             {
+               Driver.default with
+               Driver.policy = Policy.Zero;
+               reuse = Driver.No_reuse;
+               cleanup;
+             }
+             (Parse.program_of_string src))
+      in
+      check_bool (label ^ ": placed detour is flagged") true
+        (count "redundant-shift" (lint false) > 0);
+      check_bool (label ^ ": cleaned program lints clean") true
+        (Lint.clean (lint true)))
+    [
+      ( "shared",
+        "int32 a[128] @ 4;\nint32 b[128] @ 4;\nint32 c[128] @ 0;\n\
+         for (i = 0; i < 100; i++) { a[i] = b[i]; c[i] = b[i]; }" );
+      ( "unshared",
+        "int32 a[128] @ 4;\nint32 b[128] @ 4;\nint32 c[128] @ 0;\n\
+         int32 d[128] @ 0;\n\
+         for (i = 0; i < 100; i++) { a[i] = b[i]; c[i] = d[i]; }" );
+    ]
 
 let test_witness_dirty_then_clean () =
   let dirty = Lint.run (witness_outcome ~cleanup:false) in
@@ -240,6 +283,8 @@ let suite =
         Alcotest.test_case "rule registry" `Quick test_registry;
         Alcotest.test_case "dead-shift-zero-policy is flagged" `Quick
           test_dead_shift_zero_policy_flagged;
+        Alcotest.test_case "zero-policy detours flagged, shared or not"
+          `Quick test_zero_policy_detours_flagged;
         Alcotest.test_case "witness dirty without cleanup, clean with" `Quick
           test_witness_dirty_then_clean;
         Alcotest.test_case "shared streams are not waste" `Quick

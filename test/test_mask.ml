@@ -147,16 +147,15 @@ let test_pred_corpus_policies_vls () =
               let label =
                 Printf.sprintf "%s / %s / V=%d" file (Policy.name policy) v
               in
-              (* static: zero error-severity Check violations *)
+              (* static: zero Check violations *)
               (match Driver.simdize ~check:true config program with
               | Driver.Scalar r ->
                 Alcotest.failf "%s left scalar: %a" label Driver.pp_reason r
               | Driver.Simdized o ->
                 List.iter
-                  (fun (boundary, (viol : Check.violation)) ->
-                    if viol.Check.severity = Check.Error then
-                      Alcotest.failf "%s: at %s: %s" label boundary
-                        (Check.violation_to_string viol))
+                  (fun (boundary, viol) ->
+                    Alcotest.failf "%s: at %s: %s" label boundary
+                      (Check.violation_to_string viol))
                   (Driver.check_violations o));
               (* dynamic: simulator agreement with the scalar interpreter *)
               match Measure.verify ~config ?trip program with

@@ -50,7 +50,7 @@ let test_fig1_structure_survives () =
       check_int
         (Printf.sprintf "fig1 V'=%d zero check errors" vl)
         0
-        (List.length (Retarget.error_violations t)))
+        (List.length (Driver.check_violations t.Retarget.outcome)))
     Retarget.supported_vls
 
 (* Retargeting to the source V is the identity on statuses: every offset
@@ -145,8 +145,8 @@ let test_corpus_matrix () =
                 | Error _ -> () (* illegal or trip too small at V' *)
                 | Ok t ->
                   incr retargets;
-                  (* zero error-severity verifier violations *)
-                  (match Retarget.error_violations t with
+                  (* zero verifier violations *)
+                  (match Driver.check_violations t.Retarget.outcome with
                   | [] -> ()
                   | (boundary, v) :: _ ->
                     Alcotest.failf "%s %s V'=%d: %s: %a" file
