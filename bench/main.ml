@@ -395,14 +395,8 @@ let backends_json () : Simd.Json.t =
   let probe =
     Simd.Json.List
       (List.map
-         (fun b ->
-           let support =
-             match cc with
-             | None -> Simd.Backend.Unsupported "no C compiler found"
-             | Some cc -> Simd.Backend.probe ~cc b
-           in
-           Simd.Backend.to_json b support)
-         Simd.Backend.all)
+         (fun (b, support) -> Simd.Backend.to_json b support)
+         (Simd.Backend.probe_all ?cc ()))
   in
   let row_json program (row : Simd.Matrix.row) =
     let base =

@@ -41,7 +41,8 @@ let read_program path =
 (* ------------------------------------------------------------------ *)
 
 (* Simulate the retargeted program (not a fresh compilation at V'): the
-   numbers answer for exactly the code the retarget produced. *)
+   numbers answer for exactly the code the retarget produced. [Error]
+   carries an exception the simulation raised. *)
 let measure_retargeted ~trip program (t : Simd.Retarget.t) =
   let o = t.Simd.Retarget.outcome in
   let config = o.Simd.Driver.config in
@@ -50,16 +51,29 @@ let measure_retargeted ~trip program (t : Simd.Retarget.t) =
     | Simd.Ast.Trip_const _ -> None
     | Simd.Ast.Trip_param _ -> Some trip
   in
-  let setup =
-    Simd.Sim_run.prepare ?trip ~machine:config.Simd.Driver.machine program
-  in
-  let verified =
-    match Simd.Sim_run.verify setup o.Simd.Driver.prog with
-    | Ok () -> Ok ()
-    | Error m -> Error (Format.asprintf "%a" Simd.Sim_run.pp_mismatch m)
-  in
-  let sample = Simd.Measure.of_outcome ?trip program o in
-  (verified, Simd.Measure.opd sample, Simd.Measure.speedup sample)
+  try
+    let setup =
+      Simd.Sim_run.prepare ?trip ~machine:config.Simd.Driver.machine program
+    in
+    let verified =
+      match Simd.Sim_run.verify setup o.Simd.Driver.prog with
+      | Ok () -> Ok ()
+      | Error m -> Error (Format.asprintf "%a" Simd.Sim_run.pp_mismatch m)
+    in
+    let sample = Simd.Measure.of_outcome ?trip program o in
+    Ok (verified, Simd.Measure.opd sample, Simd.Measure.speedup sample)
+  with e -> Error (Printexc.to_string e)
+
+(* Each row paired with its simulation, run once and read by the table,
+   the JSON and the exit gate; [None] when the row is not simulated. *)
+let measure_rows ~measure ~trip program rows =
+  List.map
+    (fun (row : Simd.Matrix.row) ->
+      ( row,
+        match row.Simd.Matrix.retarget with
+        | Ok t when measure -> Some (measure_retargeted ~trip program t)
+        | Ok _ | Error _ -> None ))
+    rows
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -80,36 +94,29 @@ let print_probe ?cc () =
   Format.printf "backend capability probe (%s):@."
     (match cc with Some c -> Simd.Cc.id c | None -> "no C compiler found");
   List.iter
-    (fun b ->
-      let support =
-        match cc with
-        | None -> Simd.Backend.Unsupported "no C compiler found"
-        | Some cc -> Simd.Backend.probe ~cc b
-      in
+    (fun (b, support) ->
       Format.printf "  %-9s V=%-3s %-12s %a@." (Simd.Backend.name b)
         (match Simd.Backend.native_vl b with
         | Some v -> string_of_int v
         | None -> "any")
         (String.concat " " (Simd.Backend.cflags b))
         Simd.Backend.pp_support support)
-    Simd.Backend.all
+    (Simd.Backend.probe_all ?cc ())
 
-let print_matrix ~measure ~trip file program (rows : Simd.Matrix.row list) =
+let print_matrix file rows =
   Format.printf "@.%s:@." file;
   Format.printf "  %-9s %-4s %-15s %-26s %-10s %s@." "backend" "V'" "support"
     "retarget (P/R/X)" "verify" "opd / speedup";
   List.iter
-    (fun (row : Simd.Matrix.row) ->
+    (fun ((row : Simd.Matrix.row), sim) ->
       let verify_cell, perf =
-        match row.Simd.Matrix.retarget with
-        | Error _ -> ("--", "--")
-        | Ok _ when not measure -> ("--", "(skipped)")
-        | Ok t -> (
-          match measure_retargeted ~trip program t with
-          | Ok (), opd, speedup ->
-            ("agrees", Printf.sprintf "%.3f / %.2fx" opd speedup)
-          | Error m, _, _ -> ("FAIL", m)
-          | exception e -> ("ERROR", Printexc.to_string e))
+        match (row.Simd.Matrix.retarget, sim) with
+        | Error _, _ -> ("--", "--")
+        | Ok _, None -> ("--", "(skipped)")
+        | Ok _, Some (Ok (Ok (), opd, speedup)) ->
+          ("agrees", Printf.sprintf "%.3f / %.2fx" opd speedup)
+        | Ok _, Some (Ok (Error m, _, _)) -> ("FAIL", m)
+        | Ok _, Some (Error e) -> ("ERROR", e)
       in
       Format.printf "  %-9s %-4d %-15s %-26s %-10s %s@."
         (Simd.Backend.name row.Simd.Matrix.backend)
@@ -183,18 +190,10 @@ let print_doc_md files policy vl =
                   List.length
                     (Simd.Driver.check_violations t.Simd.Retarget.outcome)
                 in
-                let body_cost =
-                  match
-                    Simd.Json.member "body_cost"
-                      (Simd.Retarget.to_json t)
-                  with
-                  | Some (Simd.Json.Float c) -> Printf.sprintf "%.2f" c
-                  | Some (Simd.Json.Int c) -> string_of_int c
-                  | _ -> "—"
-                in
-                Format.printf "| %d | %d | %s | %d | %s |@." v'
+                let report = Simd.Driver.report t.Simd.Retarget.outcome in
+                Format.printf "| %d | %d | %s | %d | %.2f |@." v'
                   (List.length t.Simd.Retarget.statuses)
-                  statuses errors body_cost)
+                  statuses errors report.Simd.Opt.Report.body_cost)
             Simd.Retarget.supported_vls))
     files
 
@@ -202,45 +201,33 @@ let print_doc_md files policy vl =
 (* JSON (BENCH_backends.json)                                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_doc ?cc ~measure ~trip ~policy ~vl files_and_rows =
+let json_doc ?cc ~policy ~vl files_and_rows =
   let probe =
     List.map
-      (fun b ->
-        let support =
-          match cc with
-          | None -> Simd.Backend.Unsupported "no C compiler found"
-          | Some cc -> Simd.Backend.probe ~cc b
-        in
-        Simd.Backend.to_json b support)
-      Simd.Backend.all
+      (fun (b, support) -> Simd.Backend.to_json b support)
+      (Simd.Backend.probe_all ?cc ())
   in
-  let program_doc (file, program, rows) =
-    let row_doc (row : Simd.Matrix.row) =
+  let program_doc (file, rows) =
+    let row_doc (row, sim) =
       let base =
         match Simd.Matrix.row_to_json row with
         | Simd.Json.Obj fields -> fields
         | j -> [ ("row", j) ]
       in
       let perf =
-        match row.Simd.Matrix.retarget with
-        | Ok t when measure -> (
-          match measure_retargeted ~trip program t with
-          | Ok (), opd, speedup ->
-            [
-              ("verify", Simd.Json.String "agrees");
-              ("opd", Simd.Json.Float opd);
-              ("speedup", Simd.Json.Float speedup);
-            ]
-          | Error m, opd, speedup ->
-            [
-              ("verify", Simd.Json.String ("mismatch: " ^ m));
-              ("opd", Simd.Json.Float opd);
-              ("speedup", Simd.Json.Float speedup);
-            ]
-          | exception e ->
-            [ ("verify", Simd.Json.String ("error: " ^ Printexc.to_string e)) ]
-          )
-        | _ -> []
+        match sim with
+        | None -> []
+        | Some (Ok (verified, opd, speedup)) ->
+          [
+            ( "verify",
+              Simd.Json.String
+                (match verified with
+                | Ok () -> "agrees"
+                | Error m -> "mismatch: " ^ m) );
+            ("opd", Simd.Json.Float opd);
+            ("speedup", Simd.Json.Float speedup);
+          ]
+        | Some (Error e) -> [ ("verify", Simd.Json.String ("error: " ^ e)) ]
       in
       Simd.Json.Obj (base @ perf)
     in
@@ -303,39 +290,35 @@ let run files policy vl trip probe_only doc_md no_measure json_path =
                     Simd.Driver.pp_reason r;
                   None
                 | Simd.Driver.Simdized o ->
-                  Some (file, program, Simd.Matrix.rows ?cc o)))
+                  Some
+                    ( file,
+                      measure_rows ~measure ~trip program
+                        (Simd.Matrix.rows ?cc o) )))
             files
         in
         print_probe ?cc ();
-        List.iter
-          (fun (file, program, rows) ->
-            print_matrix ~measure ~trip file program rows)
-          compiled;
+        List.iter (fun (file, rows) -> print_matrix file rows) compiled;
         (match json_path with
         | None -> ()
         | Some path ->
-          Simd.Json.to_file ~indent:2 path
-            (json_doc ?cc ~measure ~trip ~policy ~vl compiled);
+          Simd.Json.to_file ~indent:2 path (json_doc ?cc ~policy ~vl compiled);
           Format.printf "@.wrote %s@." path);
         (* Exit nonzero if any retarget left verifier violations or
            the simulator disagreed — the matrix is a correctness gate. *)
         let bad =
           List.exists
-            (fun (_, program, rows) ->
+            (fun (_, rows) ->
               List.exists
-                (fun (row : Simd.Matrix.row) ->
-                  match row.Simd.Matrix.retarget with
-                  | Error _ -> false (* legitimately not retargetable *)
-                  | Ok t ->
+                (fun ((row : Simd.Matrix.row), sim) ->
+                  match (row.Simd.Matrix.retarget, sim) with
+                  | Error _, _ -> false (* legitimately not retargetable *)
+                  | Ok t, sim ->
                     Simd.Driver.check_violations t.Simd.Retarget.outcome
                     <> []
                     ||
-                    (measure
-                    &&
-                    match measure_retargeted ~trip program t with
-                    | Ok (), _, _ -> false
-                    | Error _, _, _ -> true
-                    | exception _ -> true))
+                    match sim with
+                    | None | Some (Ok (Ok (), _, _)) -> false
+                    | Some (Ok (Error _, _, _) | Error _) -> true)
                 rows)
             compiled
         in

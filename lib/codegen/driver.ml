@@ -199,32 +199,58 @@ type pass = {
 
 let pass name charter enabled disable = { name; charter; enabled; disable }
 
+(* Each row is bound to a name: the driver and {!run_passes} gate on the
+   row itself, so no gate predicate is written twice. *)
+let reassoc =
+  pass "reassoc" "common-offset reassociation of the scalar AST (§5.5)"
+    (fun c -> c.reassoc) (fun c -> { c with reassoc = false })
+
+let hoist_splats =
+  pass "hoist_splats" "loop-invariant vsplat hoisting into the prologue"
+    (fun c -> c.hoist_splats) (fun c -> { c with hoist_splats = false })
+
+let memnorm =
+  pass "memnorm" "load-address normalization to V-aligned chunks"
+    (fun c -> c.memnorm) (fun c -> { c with memnorm = false })
+
+let cse =
+  pass "cse" "local value numbering (three-address form)"
+    (fun c -> c.cse) (fun c -> { c with cse = false })
+
+let predictive_commoning =
+  pass "predictive_commoning" "cross-iteration value reuse via carried temps"
+    (fun c -> c.reuse = Predictive_commoning)
+    (fun c ->
+      if c.reuse = Predictive_commoning then { c with reuse = No_reuse } else c)
+
+let unroll =
+  pass "unroll" "steady-body unrolling with seam-restore coalescing (§4.5)"
+    (fun c -> c.unroll > 1) (fun c -> { c with unroll = 1 })
+
+let specialize_epilogue =
+  pass "specialize_epilogue" "guard folding for compile-time trip counts"
+    (fun c -> c.specialize_epilogue)
+    (fun c -> { c with specialize_epilogue = false })
+
+let vir_cleanup =
+  pass "vir_cleanup"
+    "dataflow-backed cleanup: copy propagation, shift combining, invariant \
+     hoisting, DCE"
+    (fun c -> c.cleanup) (fun c -> { c with cleanup = false })
+
 (** The config-gated passes in application order, named as their trace
     events are. [reassoc] rewrites the scalar AST before placement; the
     rest transform the generated vector IR ({!run_passes}). *)
 let passes =
   [
-    pass "reassoc" "common-offset reassociation of the scalar AST (§5.5)"
-      (fun c -> c.reassoc) (fun c -> { c with reassoc = false });
-    pass "hoist_splats" "loop-invariant vsplat hoisting into the prologue"
-      (fun c -> c.hoist_splats) (fun c -> { c with hoist_splats = false });
-    pass "memnorm" "load-address normalization to V-aligned chunks"
-      (fun c -> c.memnorm) (fun c -> { c with memnorm = false });
-    pass "cse" "local value numbering (three-address form)"
-      (fun c -> c.cse) (fun c -> { c with cse = false });
-    pass "predictive_commoning" "cross-iteration value reuse via carried temps"
-      (fun c -> c.reuse = Predictive_commoning)
-      (fun c ->
-        if c.reuse = Predictive_commoning then { c with reuse = No_reuse } else c);
-    pass "unroll" "steady-body unrolling with seam-restore coalescing (§4.5)"
-      (fun c -> c.unroll > 1) (fun c -> { c with unroll = 1 });
-    pass "specialize_epilogue" "guard folding for compile-time trip counts"
-      (fun c -> c.specialize_epilogue)
-      (fun c -> { c with specialize_epilogue = false });
-    pass "vir_cleanup"
-      "dataflow-backed cleanup: copy propagation, shift combining, invariant \
-       hoisting, DCE"
-      (fun c -> c.cleanup) (fun c -> { c with cleanup = false });
+    reassoc;
+    hoist_splats;
+    memnorm;
+    cse;
+    predictive_commoning;
+    unroll;
+    specialize_epilogue;
+    vir_cleanup;
   ]
 
 (** Why a loop was left scalar. *)
@@ -268,62 +294,114 @@ let place_with_fallback config ~analysis stmt =
   let p = Simd_opt.Place.place_with_fallback config.policy ~analysis stmt in
   (p.Simd_opt.Place.graph, p.Simd_opt.Place.used)
 
+(* The boundary verifier of one compilation: [verify name f] records the
+   result of [f ()] as boundary [name] when [check] is on (and is a no-op
+   otherwise); [boundaries ()] lists them in pipeline order. Each boundary
+   re-verifies the whole IR but reports only violations not already seen
+   at an earlier one, so the first boundary a violation surfaces at names
+   the pass that introduced it. *)
+let verifier ~trace check =
+  let checks = ref [] in
+  let seen = Hashtbl.create 64 in
+  let verify name f =
+    if check then begin
+      let (r : Check.result) = f () in
+      let fresh =
+        List.filter
+          (fun (v : Check.violation) ->
+            if Hashtbl.mem seen v then false
+            else begin
+              Hashtbl.add seen v ();
+              true
+            end)
+          r.Check.violations
+      in
+      checks := (name, { r with Check.violations = fresh }) :: !checks;
+      if Trace.active trace && fresh <> [] then
+        Trace.add trace
+          (Trace.Check
+             { name; violations = List.map Check.violation_to_string fresh })
+    end
+  in
+  (verify, fun () -> List.rev !checks)
+
 (* The pass-pipeline state: the three IR regions a pass may rewrite
-   (epilogues stay empty until derived). *)
+   (epilogues stay empty until derived), and whether MemNorm has rewritten
+   the load addresses — from then on a compile-time-aligned load no longer
+   carries its stream offset and the checker treats it as opaque. *)
 type pstate = {
   st_prologue : Expr.stmt list;
   st_body : Expr.stmt list;
   st_epilogues : Expr.stmt list list;
+  st_normalized : bool;
 }
 
 let snap st =
   Trace.snapshot ~prologue:st.st_prologue ~body:st.st_body
     ~epilogues:st.st_epilogues
 
-let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
-    ~analysis (prog : Prog.t) : Prog.t =
+(* The optimization passes over a freshly generated program; returns the
+   optimized program and whether its loads are normalized. Every stage is
+   a [verify] boundary: the whole IR is re-checked after it, whether it
+   ran or not, and a stage that ran with a [validate] also has its pre and
+   post states compared there. *)
+let run_passes ~trace ~verify config ~analysis (prog : Prog.t) =
   let names = Names.create () in
-  let stage ~name ~enabled st f =
-    let st = Trace.record_pass trace ~name ~enabled st ~snap f in
-    on_stage ~name st;
-    st
+  let stage ?validate ~name ~enabled st f =
+    let st' = Trace.record_pass trace ~name ~enabled st ~snap f in
+    (match validate with
+    | Some validate when enabled -> verify name (fun () -> validate st st')
+    | _ -> ());
+    verify name (fun () ->
+        Check.check_regions ~analysis ~loads_normalized:st'.st_normalized
+          ~prologue:st'.st_prologue ~body:st'.st_body
+          ~epilogues:st'.st_epilogues ());
+    st'
+  in
+  let gated ?validate (p : pass) =
+    stage ?validate ~name:p.name ~enabled:(p.enabled config)
   in
   let st =
-    { st_prologue = prog.Prog.prologue; st_body = prog.Prog.body; st_epilogues = [] }
+    {
+      st_prologue = prog.Prog.prologue;
+      st_body = prog.Prog.body;
+      st_epilogues = [];
+      st_normalized = false;
+    }
   in
   let st =
-    stage ~name:"hoist_splats" ~enabled:config.hoist_splats st (fun st ->
+    gated hoist_splats st (fun st ->
         let p, b =
           Passes.hoist_splats ~names ~prologue:st.st_prologue ~body:st.st_body
         in
         { st with st_prologue = p; st_body = b })
   in
   let st =
-    stage ~name:"memnorm" ~enabled:config.memnorm st (fun st ->
+    gated memnorm st (fun st ->
         {
           st with
           st_body = Passes.memnorm ~analysis st.st_body;
           st_prologue = Passes.memnorm ~analysis st.st_prologue;
+          st_normalized = true;
         })
   in
   let st =
-    stage ~name:"cse" ~enabled:config.cse st (fun st ->
-        { st with st_body = Passes.cse ~names st.st_body })
+    gated cse st (fun st -> { st with st_body = Passes.cse ~names st.st_body })
   in
   let st =
-    stage ~name:"predictive_commoning"
-      ~enabled:(config.reuse = Predictive_commoning) st (fun st ->
+    gated predictive_commoning st (fun st ->
         let inits, b =
           Passes.predictive_commoning ~block:prog.Prog.block
             ~lb:prog.Prog.lower ~prologue:st.st_prologue
-            (if config.cse then st.st_body else Passes.cse ~names st.st_body)
+            (if cse.enabled config then st.st_body
+             else Passes.cse ~names st.st_body)
         in
         { st with st_body = b; st_prologue = st.st_prologue @ inits })
   in
   (* A second [cse] event: the prologue is value-numbered only after
      predictive commoning has appended its carried-temp initializers. *)
   let st =
-    stage ~name:"cse" ~enabled:config.cse st (fun st ->
+    gated cse st (fun st ->
         { st with st_prologue = Passes.cse ~names st.st_prologue })
   in
   (* Rebuild the per-iteration epilogue template from the optimized (but
@@ -332,12 +410,16 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
   let template =
     Gen.derive_epilogue ~analysis ~reductions:prog.Prog.reductions st.st_body
   in
-  let unroll = max 1 config.unroll in
+  let factor = max 1 config.unroll in
   let st =
-    stage ~name:"unroll" ~enabled:(unroll > 1) st (fun st ->
+    gated unroll st
+      ~validate:(fun pre post ->
+        Check.check_unroll ~analysis ~factor ~pre:pre.st_body
+          ~post:post.st_body)
+      (fun st ->
         {
           st with
-          st_body = Passes.unroll ~block:prog.Prog.block ~factor:unroll st.st_body;
+          st_body = Passes.unroll ~block:prog.Prog.block ~factor st.st_body;
         })
   in
   let trip_const =
@@ -345,14 +427,14 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
     | Ast.Trip_const n -> Some n
     | Ast.Trip_param _ -> None
   in
-  let n_virtual = unroll + 1 in
-  (* Always runs; [config.specialize_epilogue] selects between exit-counter
+  let n_virtual = factor + 1 in
+  (* Always runs; [specialize_epilogue] selects between exit-counter
      specialization (compile-time trip) and the generic guarded template. *)
   let st =
     stage ~name:"derive_epilogues" ~enabled:true st (fun st ->
-        let prog_shape = { prog with Prog.body = st.st_body; unroll } in
+        let prog_shape = { prog with Prog.body = st.st_body; unroll = factor } in
         let epilogues =
-          match (config.specialize_epilogue, trip_const) with
+          match (specialize_epilogue.enabled config, trip_const) with
           | true, Some trip ->
             let exit = Prog.exit_counter prog_shape ~trip in
             List.init n_virtual (fun k ->
@@ -388,22 +470,23 @@ let run_passes ?(trace = Trace.none) ?(on_stage = fun ~name:_ _ -> ()) config
         { st with st_epilogues = Passes.dce st.st_epilogues })
   in
   let st =
-    stage ~name:"vir_cleanup" ~enabled:config.cleanup st (fun st ->
+    gated vir_cleanup st (fun st ->
         let p, b, e =
           Passes.vir_cleanup
             ~v:(Simd_machine.Config.vector_len config.machine)
             ~block:prog.Prog.block ~prologue:st.st_prologue ~body:st.st_body
             ~epilogues:st.st_epilogues
         in
-        { st_prologue = p; st_body = b; st_epilogues = e })
+        { st with st_prologue = p; st_body = b; st_epilogues = e })
   in
-  {
-    prog with
-    Prog.prologue = st.st_prologue;
-    body = st.st_body;
-    epilogues = st.st_epilogues;
-    unroll;
-  }
+  ( {
+      prog with
+      Prog.prologue = st.st_prologue;
+      body = st.st_body;
+      epilogues = st.st_epilogues;
+      unroll = factor;
+    },
+    st.st_normalized )
 
 (* Shift-placement provenance for the trace: every [vshiftstream] of a
    placed graph, in evaluation order, priced individually. *)
@@ -450,9 +533,69 @@ let record_placements trace config ~analysis placed =
              }))
       placed
 
-(** [simdize ?trace ?check config program] — the whole pipeline, optionally
-    recording every decision into [trace] and, with [check], re-running the
-    static verifier ({!Simd_check.Check}) at every pass boundary. *)
+(** [lower ?trace ?check config ~analysis placed] — placed graphs, each
+    with the policy that placed it, to a compilation: generation, the pass
+    pipeline and, with [check], the static verifier ({!Simd_check.Check})
+    at every boundary. The back half of {!simdize}, and what {!Retarget}
+    lowers its re-instantiated graphs through. *)
+let lower ?(trace = Trace.none) ?(check = false) config ~analysis placed =
+  let verify, boundaries = verifier ~trace check in
+  record_placements trace config ~analysis placed;
+  let graphs = List.map (fun (s, g, _) -> (s, g)) placed in
+  let shared = Simd_opt.Joint.shared_streams ~analysis (List.map snd graphs) in
+  if shared <> [] && Trace.active trace then
+    Trace.note trace ~label:"shared-streams"
+      (Format.asprintf "%a"
+         (Format.pp_print_list
+            ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
+            Simd_opt.Joint.pp_shared)
+         shared);
+  verify "placement" (fun () -> Check.check_graphs ~analysis graphs);
+  let mode = mode_of_reuse config.reuse in
+  match Gen.generate ~analysis ~names:(Names.create ()) ~mode graphs with
+  | Error e -> Error e
+  | Ok prog ->
+    if Trace.active trace then
+      Trace.add trace
+        (Trace.Generated
+           {
+             mode =
+               (match mode with
+               | Gen.Pipelined -> "pipelined"
+               | Gen.Standard -> "standard");
+             snap =
+               Trace.snapshot ~prologue:prog.Prog.prologue ~body:prog.Prog.body
+                 ~epilogues:[];
+           });
+    verify "generate" (fun () ->
+        Check.check_regions ~analysis ~prologue:prog.Prog.prologue
+          ~body:prog.Prog.body ~epilogues:[] ());
+    let prog, loads_normalized =
+      run_passes ~trace ~verify config ~analysis prog
+    in
+    verify "final" (fun () ->
+        let peel_amount =
+          if config.peel_baseline then
+            match Peel.check analysis with
+            | Peel.Applicable -> Some (Peel.peel_amount analysis)
+            | Peel.Mixed_alignments | Peel.Runtime_alignment -> None
+          else None
+        in
+        Check.check_prog ?peel_amount ~loads_normalized ~analysis prog);
+    Ok
+      {
+        prog;
+        analysis;
+        graphs;
+        policies_used = List.map (fun (_, _, p) -> p) placed;
+        shared_streams = shared;
+        config;
+        checks = boundaries ();
+      }
+
+(** [simdize ?trace ?check config program] — the whole pipeline: the front
+    half (if-conversion, legality, reassociation, the peeling gate and
+    shift placement) here, the rest in {!lower}. *)
 let simdize ?(trace = Trace.none) ?(check = false) (config : config)
     (program : Ast.program) : result =
   (* If-conversion (the predication extension, [Simd.Mask]) runs before
@@ -472,7 +615,7 @@ let simdize ?(trace = Trace.none) ?(check = false) (config : config)
   | Error e -> Scalar (Illegal e)
   | Ok analysis -> (
     let program, analysis =
-      if config.reassoc then begin
+      if reassoc.enabled config then begin
         let before =
           if Trace.active trace then Pp.program_to_string program else ""
         in
@@ -503,36 +646,6 @@ let simdize ?(trace = Trace.none) ?(check = false) (config : config)
     with
     | Error r -> Scalar r
     | Ok config -> (
-      (* The checker collector: each boundary re-verifies the whole IR but
-         reports only violations not already seen at an earlier boundary,
-         so the first boundary a violation surfaces at names the pass that
-         introduced it. *)
-      let checks = ref [] in
-      let seen = Hashtbl.create 64 in
-      (* After MemNorm, compile-time-aligned load addresses no longer carry
-         their stream offset — the checker must treat them as opaque. *)
-      let normalized = ref false in
-      let record_check name (r : Check.result) =
-        let fresh =
-          List.filter
-            (fun (v : Check.violation) ->
-              if Hashtbl.mem seen v then false
-              else begin
-                Hashtbl.add seen v ();
-                true
-              end)
-            r.Check.violations
-        in
-        let r = { r with Check.violations = fresh } in
-        checks := (name, r) :: !checks;
-        if Trace.active trace && fresh <> [] then
-          Trace.add trace
-            (Trace.Check
-               {
-                 name;
-                 violations = List.map Check.violation_to_string fresh;
-               })
-      in
       let placed =
         match config.policy with
         | Policy.Joint ->
@@ -547,82 +660,12 @@ let simdize ?(trace = Trace.none) ?(check = false) (config : config)
               (stmt, g, p))
             program.Ast.loop.Ast.body
       in
-      record_placements trace config ~analysis placed;
-      let graphs = List.map (fun (s, g, _) -> (s, g)) placed in
-      let shared =
-        Simd_opt.Joint.shared_streams ~analysis (List.map snd graphs)
-      in
-      if shared <> [] && Trace.active trace then
-        Trace.note trace ~label:"shared-streams"
-          (Format.asprintf "%a"
-             (Format.pp_print_list
-                ~pp_sep:(fun fmt () -> Format.pp_print_string fmt "; ")
-                Simd_opt.Joint.pp_shared)
-             shared);
-      if check then record_check "placement" (Check.check_graphs ~analysis graphs);
-      let policies_used = List.map (fun (_, _, p) -> p) placed in
-      let mode = mode_of_reuse config.reuse in
-      let names = Names.create () in
-      match Gen.generate ~analysis ~names ~mode graphs with
+      match lower ~trace ~check config ~analysis placed with
+      | Ok o -> Simdized o
       | Error (Gen.Trip_too_small { trip; needed }) ->
         Scalar (Trip_too_small { trip; needed })
       | Error (Gen.Unsupported_shift msg) ->
-        invalid_arg ("Driver.simdize: unexpected shift failure: " ^ msg)
-      | Ok prog ->
-        if Trace.active trace then
-          Trace.add trace
-            (Trace.Generated
-               {
-                 mode =
-                   (match mode with
-                   | Gen.Pipelined -> "pipelined"
-                   | Gen.Standard -> "standard");
-                 snap =
-                   Trace.snapshot ~prologue:prog.Prog.prologue
-                     ~body:prog.Prog.body ~epilogues:[];
-               });
-        if check then
-          record_check "generate"
-            (Check.check_regions ~analysis ~prologue:prog.Prog.prologue
-               ~body:prog.Prog.body ~epilogues:[] ());
-        let last_body = ref prog.Prog.body in
-        let on_stage ~name (st : pstate) =
-          if check then begin
-            if name = "memnorm" then normalized := config.memnorm;
-            if name = "unroll" && config.unroll > 1 then
-              record_check name
-                (Check.check_unroll ~analysis ~factor:config.unroll
-                   ~pre:!last_body ~post:st.st_body);
-            record_check name
-              (Check.check_regions ~analysis ~loads_normalized:!normalized
-                 ~prologue:st.st_prologue ~body:st.st_body
-                 ~epilogues:st.st_epilogues ());
-            last_body := st.st_body
-          end
-        in
-        let prog = run_passes ~trace ~on_stage config ~analysis prog in
-        if check then begin
-          let peel_amount =
-            if config.peel_baseline then
-              match Peel.check analysis with
-              | Peel.Applicable -> Some (Peel.peel_amount analysis)
-              | Peel.Mixed_alignments | Peel.Runtime_alignment -> None
-            else None
-          in
-          record_check "final"
-            (Check.check_prog ?peel_amount ~loads_normalized:!normalized
-               ~analysis prog)
-        end;
-        Simdized
-          {
-            prog;
-            analysis;
-            graphs;
-            policies_used;
-            shared_streams = shared;
-            config;
-            checks = List.rev !checks;
-          }))
+        invalid_arg ("Driver.simdize: unexpected shift failure: " ^ msg)))
 
 (** [simdize_exn] — [simdize] that raises on scalar fallback (tests). *)
 let simdize_exn ?trace ?check config program =

@@ -25,10 +25,6 @@ val reuse_name : reuse -> string
 val reuse_of_name : string -> reuse option
 (** Inverts {!reuse_name} and also accepts [none] for [No_reuse]. *)
 
-val mode_of_reuse : reuse -> Gen.mode
-(** Software pipelining is a generation mode; predictive commoning is a
-    post-pass over standard code. *)
-
 type config = {
   machine : Simd_machine.Config.t;
   policy : Policy.t;
@@ -129,34 +125,37 @@ type outcome = {
 
 type result = Simdized of outcome | Scalar of reason
 
-(** The pass-pipeline state threaded through {!run_passes}: the three IR
-    regions a pass may rewrite (epilogues stay empty until derived). *)
-type pstate = {
-  st_prologue : Expr.stmt list;
-  st_body : Expr.stmt list;
-  st_epilogues : Expr.stmt list list;
-}
-
-val run_passes :
+val lower :
   ?trace:Trace.t ->
-  ?on_stage:(name:string -> pstate -> unit) ->
+  ?check:bool ->
   config ->
   analysis:Analysis.t ->
-  Prog.t ->
-  Prog.t
-(** The optimization-pass pipeline alone (hoisting, MemNorm, CSE,
-    predictive commoning, unrolling, epilogue derivation, reduction
-    finalization, DCE) applied to a freshly generated program.
-    [on_stage] fires after every stage with the pipeline state; the
-    driver's own boundary checking hangs off it. *)
+  (Ast.stmt * Graph.t * Policy.t) list ->
+  (outcome, Gen.error) Stdlib.result
+(** [lower config ~analysis placed] — the back half of {!simdize}: placed
+    graphs (each with the policy that placed it, in body order) to a
+    compilation. It generates the vector IR ({!Gen.generate}), runs the
+    optimization passes — each config-gated stage enabled as its
+    {!passes} row says — and derives the epilogues. {!Retarget} lowers its
+    re-instantiated graphs through here as well.
+
+    [?check] (default [false]) runs the static verifier
+    ({!Simd_check.Check}) at every boundary: [placement], [generate], one
+    after every stage whether it ran or not ([hoist_splats], [memnorm],
+    [cse], [predictive_commoning], [cse], [unroll], [derive_epilogues],
+    [finalize_reductions], [dce], [vir_cleanup]) and [final]. An unroll
+    that ran is also translation-validated ({!Simd_check.Check.check_unroll})
+    at its boundary, ahead of its region check. [?trace] receives the
+    placement, generation, pass and check events. The error is
+    {!Gen.generate}'s. *)
 
 val simdize : ?trace:Trace.t -> ?check:bool -> config -> Ast.program -> result
-(** The whole pipeline. [?trace] (default {!Simd_trace.Trace.none})
-    receives the ordered event stream of this compilation. [?check]
-    (default [false]) re-runs the static verifier ({!Simd_check.Check}) on
-    the placed graphs, the generated IR, after every optimization stage,
-    and on the final program — recording per-boundary results in
-    [outcome.checks] (and, when tracing, as [Trace.Check] events). *)
+(** The whole pipeline: if-conversion, legality, reassociation, the
+    peeling gate and shift placement, then {!lower}. [?trace] (default
+    {!Simd_trace.Trace.none}) receives the ordered event stream of this
+    compilation. [?check] (default [false]) is {!lower}'s — per-boundary
+    results in [outcome.checks] (and, when tracing, as [Trace.Check]
+    events). *)
 
 val simdize_exn :
   ?trace:Trace.t -> ?check:bool -> config -> Ast.program -> outcome

@@ -18,10 +18,11 @@
       [Replaced]) only when the preserved structure cannot be lowered at
       V′ (e.g. a repair would need an unsupported runtime→runtime
       reorganization);
-    - regenerates code with {!Gen.generate} and the full
-      {!Driver.run_passes} pipeline — the peel amounts and Eqs. 8–16
-      bounds are recomputed for free — and discharges the retargeted
-      obligations with {!Simd_check.Check}.
+    - lowers the result through {!Driver.lower}, the back half of
+      {!Driver.simdize}: code generation and the full pass pipeline — the
+      peel amounts and Eqs. 8–16 bounds are recomputed for free — with
+      {!Simd_check.Check} discharging the retargeted obligations at every
+      boundary the driver checks.
 
     The subtle part is that offset equalities do not survive widening:
     offsets 4 and 20 coincide mod 16 but differ mod 32, so a shift chain
@@ -34,8 +35,6 @@ open Simd_loopir
 module Policy = Simd_dreorg.Policy
 module Graph = Simd_dreorg.Graph
 module Offset = Simd_dreorg.Offset
-module Trace = Simd_trace.Trace
-module Check = Simd_check.Check
 module Machine = Simd_machine.Config
 module Json = Simd_support.Json
 
@@ -189,38 +188,7 @@ let retarget_graph ~analysis ~fallback (stmt : Ast.stmt) (g : Graph.t) :
 (* Whole-compilation retarget                                          *)
 (* ------------------------------------------------------------------ *)
 
-let generate_and_optimize ~trace ~check ~analysis (config : Driver.config)
-    placed =
-  let graphs = List.map (fun (s, g, _, _) -> (s, g)) placed in
-  let checks = ref [] in
-  let record name r = checks := (name, r) :: !checks in
-  if check then record "retarget-placement" (Check.check_graphs ~analysis graphs);
-  let mode = Driver.mode_of_reuse config.Driver.reuse in
-  let names = Names.create () in
-  match Gen.generate ~analysis ~names ~mode graphs with
-  | Error e -> Error e
-  | Ok prog ->
-    let prog = Driver.run_passes ~trace config ~analysis prog in
-    if check then
-      record "retarget-final"
-        (Check.check_prog ~loads_normalized:config.Driver.memnorm ~analysis
-           prog);
-    let shared =
-      Simd_opt.Joint.shared_streams ~analysis (List.map snd graphs)
-    in
-    Ok
-      {
-        Driver.prog;
-        analysis;
-        graphs;
-        policies_used = List.map (fun (_, _, _, p) -> p) placed;
-        shared_streams = shared;
-        config;
-        checks = List.rev !checks;
-      }
-
-let retarget ?(trace = Trace.none) ?(check = true) ~vector_len
-    (o : Driver.outcome) : (t, Driver.reason) result =
+let retarget ~vector_len (o : Driver.outcome) : (t, Driver.reason) result =
   let from_vl = Machine.vector_len o.Driver.config.Driver.machine in
   let machine =
     Machine.with_costs
@@ -246,55 +214,42 @@ let retarget ?(trace = Trace.none) ?(check = true) ~vector_len
     let retarget_stmt (stmt, g) used =
       let g', status = retarget_graph ~analysis ~fallback stmt g in
       let used' = match status with Replaced p -> p | _ -> used in
-      (stmt, g', status, used')
+      ((stmt, g', used'), status)
     in
-    let placed = List.map2 retarget_stmt o.Driver.graphs o.Driver.policies_used in
-    let finish placed =
-      match generate_and_optimize ~trace ~check ~analysis config placed with
+    let replace (stmt, _, _) =
+      let p = Simd_opt.Place.place_with_fallback fallback ~analysis stmt in
+      ((stmt, p.Simd_opt.Place.graph, p.Simd_opt.Place.used),
+       Replaced p.Simd_opt.Place.used)
+    in
+    let lower placed = Driver.lower ~check:true config ~analysis placed in
+    let finish statuses = function
+      | Ok outcome -> Ok { outcome; statuses; from_vl; to_vl = vector_len }
       | Error (Gen.Trip_too_small { trip; needed }) ->
-        `Scalar (Driver.Trip_too_small { trip; needed })
-      | Error (Gen.Unsupported_shift msg) -> `Unsupported msg
-      | Ok outcome ->
-        `Done
-          {
-            outcome;
-            statuses = List.map (fun (_, _, st, _) -> st) placed;
-            from_vl;
-            to_vl = vector_len;
-          }
+        Error (Driver.Trip_too_small { trip; needed })
+      | Error (Gen.Unsupported_shift msg) ->
+        invalid_arg ("Retarget.retarget: unexpected shift failure: " ^ msg)
+    in
+    let placed, statuses =
+      List.split (List.map2 retarget_stmt o.Driver.graphs o.Driver.policies_used)
     in
     (* First try the preserved/repaired graphs; if lowering still rejects
        a shift direction (a preserved structure [Gen] cannot lower at V′),
        re-place every statement — the same totality the driver relies
        on. *)
-    match finish placed with
-    | `Done t -> Ok t
-    | `Scalar r -> Error r
-    | `Unsupported _ -> (
-      let replaced =
-        List.map
-          (fun (stmt, _, _, _) ->
-            let p = Simd_opt.Place.place_with_fallback fallback ~analysis stmt in
-            ( stmt,
-              p.Simd_opt.Place.graph,
-              Replaced p.Simd_opt.Place.used,
-              p.Simd_opt.Place.used ))
-          placed
-      in
-      match finish replaced with
-      | `Done t -> Ok t
-      | `Scalar r -> Error r
-      | `Unsupported msg ->
-        invalid_arg ("Retarget.retarget: unexpected shift failure: " ^ msg)))
+    match lower placed with
+    | Error (Gen.Unsupported_shift _) ->
+      let placed, statuses = List.split (List.map replace placed) in
+      finish statuses (lower placed)
+    | lowered -> finish statuses lowered)
 
-let retarget_exn ?trace ?check ~vector_len o =
-  match retarget ?trace ?check ~vector_len o with
+let retarget_exn ~vector_len o =
+  match retarget ~vector_len o with
   | Ok t -> t
   | Error r ->
     invalid_arg (Format.asprintf "Retarget.retarget_exn: %a" Driver.pp_reason r)
 
-let sweep ?trace ?check ?(vector_lens = supported_vls) (o : Driver.outcome) =
-  List.map (fun vl -> (vl, retarget ?trace ?check ~vector_len:vl o)) vector_lens
+let sweep ?(vector_lens = supported_vls) (o : Driver.outcome) =
+  List.map (fun vl -> (vl, retarget ~vector_len:vl o)) vector_lens
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)

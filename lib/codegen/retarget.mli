@@ -9,8 +9,9 @@
     prologue/epilogue bound derived from them (Eqs. 8–16). [retarget]
     keeps the structure, renumbers the offsets at V′, repairs the places
     where an offset equality held at V but not at V′ (and drops shifts
-    that became no-ops), then regenerates and re-optimizes code so the
-    bound math is recomputed, with {!Simd_check.Check} discharging the
+    that became no-ops), then lowers the graphs through {!Driver.lower} —
+    the driver's own generation, pass pipeline and boundary checks — so
+    the bound math is recomputed and {!Simd_check.Check} discharges the
     retargeted obligations as the correctness gate.
 
     The driving use case is the backend matrix ({!Simd_emit.Matrix}): one
@@ -19,7 +20,6 @@
     AVX-512) without re-placement. *)
 
 module Policy = Simd_dreorg.Policy
-module Trace = Simd_trace.Trace
 module Json = Simd_support.Json
 
 (** How one statement's placed graph survived the retarget. *)
@@ -43,9 +43,8 @@ val pp_status : Format.formatter -> status -> unit
 type t = {
   outcome : Driver.outcome;
       (** a full compilation at V′: retargeted graphs, regenerated and
-          re-optimized program, fresh analysis, and — when checking was on
-          — the [retarget-placement] / [retarget-final] verifier
-          boundaries in [outcome.checks] *)
+          re-optimized program, fresh analysis, and the verifier results
+          at {!Driver.lower}'s boundaries in [outcome.checks] *)
   statuses : status list;  (** per statement, same order as the graphs *)
   from_vl : int;  (** V of the source compilation *)
   to_vl : int;  (** V′ this result targets *)
@@ -54,18 +53,13 @@ type t = {
 val supported_vls : int list
 (** The vector lengths the backend matrix sweeps: [\[16; 32; 64\]]. *)
 
-val retarget :
-  ?trace:Trace.t ->
-  ?check:bool ->
-  vector_len:int ->
-  Driver.outcome ->
-  (t, Driver.reason) result
+val retarget : vector_len:int -> Driver.outcome -> (t, Driver.reason) result
 (** [retarget ~vector_len o] — re-instantiate [o] at V′ = [vector_len]
     (a power of two in [\[4, 64\]]).
 
-    [?check] (default [true] — retargeting exists to be verified) runs
-    {!Simd_check.Check} on the retargeted graphs and on the final
-    program, recording both boundaries in [outcome.checks].
+    The retargeted graphs are lowered by {!Driver.lower} with checking
+    on — retargeting exists to be verified — so [outcome.checks] holds the
+    same boundaries as a [Driver.simdize ~check:true] compilation.
 
     Errors mirror {!Driver.simdize}'s scalar reasons: the program may be
     illegal at V′ ([Illegal] — e.g. an array's declared base alignment no
@@ -75,16 +69,11 @@ val retarget :
     is V-dependent, and the retarget answers for the placed graphs, not
     the baseline's claim. *)
 
-val retarget_exn :
-  ?trace:Trace.t -> ?check:bool -> vector_len:int -> Driver.outcome -> t
+val retarget_exn : vector_len:int -> Driver.outcome -> t
 (** {!retarget} raising on scalar fallback (tests). *)
 
 val sweep :
-  ?trace:Trace.t ->
-  ?check:bool ->
-  ?vector_lens:int list ->
-  Driver.outcome ->
-  (int * (t, Driver.reason) result) list
+  ?vector_lens:int list -> Driver.outcome -> (int * (t, Driver.reason) result) list
 (** {!retarget} at every V′ in [vector_lens] (default
     {!supported_vls}), in order. *)
 

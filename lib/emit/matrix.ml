@@ -22,7 +22,7 @@ let row_vl (o : Driver.outcome) b =
   | Some v -> v
   | None -> Machine.vector_len o.Driver.config.Driver.machine
 
-let rows ?cc ?check (o : Driver.outcome) : row list =
+let rows ?cc (o : Driver.outcome) : row list =
   List.map
     (fun backend ->
       let vl = row_vl o backend in
@@ -30,7 +30,7 @@ let rows ?cc ?check (o : Driver.outcome) : row list =
         backend;
         support = Backend.probe ?cc backend;
         vl;
-        retarget = Retarget.retarget ?check ~vector_len:vl o;
+        retarget = Retarget.retarget ~vector_len:vl o;
       })
     Backend.all
 

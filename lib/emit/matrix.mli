@@ -20,10 +20,9 @@ type row = {
           is illegal or the trip too small at that width) *)
 }
 
-val rows : ?cc:Cc.t -> ?check:bool -> Driver.outcome -> row list
-(** One row per registry backend, in {!Backend.all} order. [?check]
-    (default on, per {!Retarget.retarget}) verifies each retargeted
-    compilation. *)
+val rows : ?cc:Cc.t -> Driver.outcome -> row list
+(** One row per registry backend, in {!Backend.all} order; each
+    retargeted compilation is verified ({!Retarget.retarget}). *)
 
 val unit_of_row : row -> string option
 (** The backend's translation unit for the row's retargeted program

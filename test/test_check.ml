@@ -182,32 +182,40 @@ let test_seam_bug_detected_statically () =
   let compile () =
     match Driver.simdize ~check:true config case.Fuzz.Case.program with
     | Driver.Scalar _ -> Alcotest.fail "reproducer left scalar"
-    | Driver.Simdized o -> Driver.check_violations o
+    | Driver.Simdized o -> o
   in
-  (* healthy compiler: clean *)
-  check_int "no errors without the bug" 0 (List.length (compile ()));
-  (* buggy coalescer: the verifier alone refutes the seam *)
-  Passes.unsafe_unroll_seam_coalesce_bug := true;
-  let violations =
+  let with_bug f =
+    Passes.unsafe_unroll_seam_coalesce_bug := true;
     Fun.protect
       ~finally:(fun () -> Passes.unsafe_unroll_seam_coalesce_bug := false)
-      compile
+      f
   in
-  let seam_errors =
-    List.filter
+  let seam_refuted (o : Driver.outcome) =
+    List.exists
       (fun (boundary, (viol : Check.violation)) ->
         boundary = "unroll"
         && (viol.Check.rule = "carried-clobber"
            || viol.Check.rule = "unroll-equiv"))
-      violations
+      (Driver.check_violations o)
   in
-  check_bool "clobber refuted at the unroll boundary" true (seam_errors <> []);
+  (* healthy compiler: clean *)
+  let healthy = compile () in
+  check_int "no errors without the bug" 0
+    (List.length (Driver.check_violations healthy));
+  (* buggy coalescer: the verifier alone refutes the seam *)
+  check_bool "clobber refuted at the unroll boundary" true
+    (seam_refuted (with_bug compile));
+  (* a retarget lowers through the same boundaries: the healthy placement
+     re-lowered by the buggy coalescer is refuted at unroll too *)
+  let vl = Machine.vector_len config.Driver.machine in
+  let retargeted =
+    with_bug (fun () -> Retarget.retarget_exn ~vector_len:vl healthy)
+  in
+  check_bool "retarget: clobber refuted at the unroll boundary" true
+    (seam_refuted retargeted.Retarget.outcome);
   (* and the fuzz oracle's static half classifies it without execution *)
-  Passes.unsafe_unroll_seam_coalesce_bug := true;
   let outcome =
-    Fun.protect
-      ~finally:(fun () -> Passes.unsafe_unroll_seam_coalesce_bug := false)
-      (fun () -> Fuzz.Oracle.run { case with Fuzz.Case.config })
+    with_bug (fun () -> Fuzz.Oracle.run { case with Fuzz.Case.config })
   in
   check_bool "oracle classifies static_violation" true
     (match outcome with Fuzz.Oracle.Static_violation _ -> true | _ -> false)

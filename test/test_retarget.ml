@@ -106,6 +106,38 @@ let test_to_json_shape () =
       "check_errors"; "cost"; "body_cost";
     ]
 
+(* A retarget lowers through the driver: its verifier boundaries are the
+   ones a [simdize ~check:true] compilation records, unroll included. *)
+let test_retarget_boundaries () =
+  List.iter
+    (fun unroll ->
+      let expected =
+        [ "placement"; "generate"; "hoist_splats"; "memnorm"; "cse";
+          "predictive_commoning"; "cse" ]
+        @ List.init (if unroll > 1 then 2 else 1) (fun _ -> "unroll")
+        @ [ "derive_epilogues"; "finalize_reductions"; "dce"; "vir_cleanup";
+            "final" ]
+      in
+      let boundaries (o : Driver.outcome) =
+        String.concat " " (List.map fst o.Driver.checks)
+      in
+      let o =
+        Driver.simdize_exn ~check:true
+          { (config Policy.Dominant) with Driver.unroll }
+          (Parse.program_of_string fig1)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "simdize boundaries (unroll %d)" unroll)
+        (String.concat " " expected) (boundaries o);
+      List.iter
+        (fun vl ->
+          let t = Retarget.retarget_exn ~vector_len:vl o in
+          Alcotest.(check string)
+            (Printf.sprintf "retarget V'=%d boundaries (unroll %d)" vl unroll)
+            (boundaries o) (boundaries t.Retarget.outcome))
+        Retarget.supported_vls)
+    [ 1; 2 ]
+
 (* --- corpus × policies × V' (the acceptance property) ------------------- *)
 
 let corpus_dir =
@@ -204,6 +236,8 @@ let suite =
         Alcotest.test_case "to_json shape" `Quick test_to_json_shape;
         Alcotest.test_case "retargeted V' machine and emitter" `Quick
           test_retarget_cost_is_v'_model;
+        Alcotest.test_case "retarget checks the driver's boundaries" `Quick
+          test_retarget_boundaries;
         Alcotest.test_case "corpus x policies x V' verifies and agrees" `Slow
           test_corpus_matrix;
       ] );
