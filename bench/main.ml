@@ -1,55 +1,50 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (printing the same rows/series), then times the pipeline
-   behind each experiment with Bechamel — one Test.make per table/figure.
+(* The evaluation driver: regenerates every table and figure of the
+   paper's §5 evaluation (printing the same rows/series), then the
+   design-choice ablations and the extension measurements. EXPERIMENTS.md
+   records paper vs measured.
 
-   Usage:  dune exec bench/main.exe [-- --loops N] [--jobs N] [--no-bench]
-           [--json PATH] [--cache DIR]
+   Usage:  dune exec bench/main.exe [-- --loops N] [--jobs N] [--json PATH]
    N defaults to 50 (the paper's benchmark size). --jobs N computes the
    five figure/table artifacts on a Simd.Par.Pool of N workers (the
    printed artifacts are identical to the sequential run; the pool report
    goes to stderr). --json also writes every figure/table row, the static
    cost reports of the benchmark programs under each policy, and the
-   Bechamel timings to PATH as one JSON document. The static reports are
-   served from the content-addressed artifact cache at --cache DIR
-   (default _bench_cache; --no-cache disables) — a scheme whose program,
-   config, and library version are unchanged since the last run is not
-   recompiled, and the report notes the time that saved. *)
-
-open Bechamel
-open Toolkit
+   backend matrix to PATH as one JSON document. The run exits 1 when the
+   coverage sweep lists a failure, and fails when an extension program
+   does not verify. Any other argument exits 2 before anything runs. *)
 
 let machine = Simd.Machine.default
 
-let loops, jobs, run_bench, json_path, cache_dir =
+let loops, jobs, json_path =
   let loops = ref 50 in
   let jobs = ref 1 in
-  let bench = ref true in
   let json = ref None in
-  let cache = ref (Some "_bench_cache") in
+  let usage msg =
+    prerr_endline
+      ("main.exe: " ^ msg
+     ^ "\nusage: main.exe [--loops N] [--jobs N] [--json PATH]");
+    exit 2
+  in
+  let int_arg flag n =
+    match int_of_string_opt n with
+    | Some v -> v
+    | None -> usage (Printf.sprintf "%s expects an integer, got %S" flag n)
+  in
   let rec parse = function
     | [] -> ()
     | "--loops" :: n :: rest ->
-      loops := int_of_string n;
+      loops := int_arg "--loops" n;
       parse rest
     | "--jobs" :: n :: rest ->
-      jobs := int_of_string n;
-      parse rest
-    | "--no-bench" :: rest ->
-      bench := false;
+      jobs := int_arg "--jobs" n;
       parse rest
     | "--json" :: path :: rest ->
       json := Some path;
       parse rest
-    | "--cache" :: dir :: rest ->
-      cache := Some dir;
-      parse rest
-    | "--no-cache" :: rest ->
-      cache := None;
-      parse rest
-    | _ :: rest -> parse rest
+    | arg :: _ -> usage (Printf.sprintf "unknown or incomplete argument %S" arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
-  (!loops, !jobs, !bench, !json, !cache)
+  (!loops, !jobs, !json)
 
 (* ------------------------------------------------------------------ *)
 (* Regenerate the paper's tables and figures                           *)
@@ -116,136 +111,89 @@ let () =
   Format.printf "%a@." Simd.Suite.pp_coverage cov
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the pipeline behind each experiment      *)
+(* Ablations and extensions: studies beyond the paper's figures        *)
 (* ------------------------------------------------------------------ *)
 
-let fig_program = Simd.Synth.generate ~machine spec
+let ablations () =
+  let count = max 4 (loops / 2) in
+  Format.printf "%a@." Simd.Suite.pp_ablation
+    (Simd.Suite.ablation_reuse_unroll ~machine ~spec ~count ());
+  Format.printf "%a@." Simd.Suite.pp_ablation
+    (Simd.Suite.ablation_memnorm ~machine ());
+  Format.printf "%a@." Simd.Suite.pp_ablation
+    (Simd.Suite.ablation_vector_length ~spec ~count ());
+  Format.printf "%a@." Simd.Suite.pp_ablation
+    (Simd.Suite.ablation_elem_width ~machine ~count ());
+  Format.printf "%a@." Simd.Suite.pp_peeling
+    (Simd.Suite.peeling_coverage ~machine ~count:(2 * count) ())
 
-let table1_program =
-  Simd.Synth.generate ~machine
-    { spec with Simd.Synth.stmts = 4; loads_per_stmt = 8 }
-
-let table2_program =
-  Simd.Synth.generate ~machine
-    { spec with Simd.Synth.stmts = 4; loads_per_stmt = 4; elem = Simd.Ast.I16 }
-
-let coverage_program =
-  Simd.Synth.generate ~machine
-    { spec with Simd.Synth.stmts = 2; loads_per_stmt = 4 }
-
-let config policy reuse =
-  { Simd.Driver.default with Simd.Driver.machine; policy; reuse }
-
-let measure_once ~config program = ignore (Simd.Measure.run ~config program)
-
-let tests =
-  [
-    (* Figure 11: simdize + simulate one S1*L6 loop under headline schemes
-       (reassociation off). *)
-    Test.make ~name:"fig11/dominant-sp"
-      (Staged.stage (fun () ->
-           measure_once
-             ~config:
-               (config Simd.Policy.Dominant Simd.Driver.Software_pipelining)
-             fig_program));
-    Test.make ~name:"fig11/zero-sp"
-      (Staged.stage (fun () ->
-           measure_once
-             ~config:(config Simd.Policy.Zero Simd.Driver.Software_pipelining)
-             fig_program));
-    (* Figure 12: the reassociated variant. *)
-    Test.make ~name:"fig12/lazy-pc+reassoc"
-      (Staged.stage (fun () ->
-           measure_once
-             ~config:
-               {
-                 (config Simd.Policy.Lazy Simd.Driver.Predictive_commoning) with
-                 Simd.Driver.reassoc = true;
-               }
-             fig_program));
-    (* The exact-solver series of Figure 11. *)
-    Test.make ~name:"fig11/optimal-sp"
-      (Staged.stage (fun () ->
-           measure_once
-             ~config:
-               (config Simd.Policy.Optimal Simd.Driver.Software_pipelining)
-             fig_program));
-    (* Table 1: the S4*L8 int32 row's winning scheme. *)
-    Test.make ~name:"table1/S4L8-dominant-pc"
-      (Staged.stage (fun () ->
-           measure_once
-             ~config:
-               (config Simd.Policy.Dominant Simd.Driver.Predictive_commoning)
-             table1_program));
-    (* Table 2: the S4*L4 int16 row. *)
-    Test.make ~name:"table2/S4L4-int16-dominant-sp"
-      (Staged.stage (fun () ->
-           measure_once
-             ~config:
-               (config Simd.Policy.Dominant Simd.Driver.Software_pipelining)
-             table2_program));
-    (* Coverage: one full differential verification (scalar run + simdized
-       run + whole-arena compare). *)
-    Test.make ~name:"coverage/verify-one-loop"
-      (Staged.stage (fun () ->
-           match
-             Simd.Measure.verify
-               ~config:(config Simd.Policy.Lazy Simd.Driver.Software_pipelining)
-               coverage_program
-           with
-           | Ok () -> ()
-           | Error m -> failwith m));
-    (* The simdizer alone (no simulation): compile-time cost. *)
-    Test.make ~name:"simdize-only/S4L8"
-      (Staged.stage (fun () ->
-           ignore
-             (Simd.Driver.simdize
-                (config Simd.Policy.Dominant Simd.Driver.Software_pipelining)
-                table1_program)));
-    (* The exact solver alone on the widest statement shape. *)
-    Test.make ~name:"simdize-only/S4L8-optimal"
-      (Staged.stage (fun () ->
-           ignore
-             (Simd.Driver.simdize
-                (config Simd.Policy.Optimal Simd.Driver.Software_pipelining)
-                table1_program)));
-  ]
-
-let benchmark () : (string * float) list =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+let extensions () =
+  (* The future-work extension measurements quoted in EXPERIMENTS.md. *)
+  let report label ?(config = Simd.Driver.default) src =
+    let program = Simd.parse_exn src in
+    (match Simd.verify ~config program with
+    | Ok () -> ()
+    | Error m -> failwith (label ^ ": " ^ m));
+    let sample, opd, speedup = Simd.measure ~config program in
+    let c = sample.Simd.Measure.counts in
+    Format.printf
+      "%-28s %8.3f opd  %6.2fx speedup  (LB %.2fx; %d loads, %d shifts, %d \
+       packs)@."
+      label opd speedup
+      (Simd.Measure.lb_speedup sample)
+      c.Simd.Exec.vloads c.Simd.Exec.vshifts c.Simd.Exec.vpacks
   in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) () in
-  let raw =
-    Benchmark.all cfg instances (Test.make_grouped ~name:"experiments" tests)
-  in
-  List.concat_map
-    (fun instance ->
-      Hashtbl.fold
-        (fun test_name result acc ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> (test_name, est) :: acc
-          | Some _ | None -> acc)
-        (Analyze.all ols instance raw) []
-      |> List.sort compare)
-    instances
+  Format.printf "Extension measurements (verified differentially first):@.";
+  report "dot+max reductions"
+    "int32 dot[1] @ 12;\nint32 hi[1] @ 4;\nint32 a[1100] @ 4;\nint32 b[1100] @ 8;\n\
+     for (i = 0; i < 1000; i++) { dot += a[i+1] * b[i+3]; hi max= a[i+1]; }";
+  report "int16 sum reduction"
+    "int16 s[1] @ 2;\nint16 x[1100] @ 6;\n\
+     for (i = 0; i < 1000; i++) { s += x[i+3]; }";
+  report "deinterleave (stride 2)"
+    "int32 re[1024] @ 0;\nint32 im[1024] @ 4;\nint32 x[2100] @ 8;\n\
+     for (i = 0; i < 1000; i++) { re[i] = x[2*i]; im[i+1] = x[2*i+1]; }"
+    ~config:
+      { Simd.Driver.default with
+        Simd.Driver.reuse = Simd.Driver.Predictive_commoning };
+  report "RGBA channel (stride 4, i8)"
+    "int8 red[1100] @ 1;\nint8 rgba[4400] @ 2;\n\
+     for (i = 0; i < 1000; i++) { red[i+1] = rgba[4*i+2]; }"
+    ~config:
+      { Simd.Driver.default with
+        Simd.Driver.reuse = Simd.Driver.Predictive_commoning };
+  report "strided reduction"
+    "int32 s[1] @ 4;\nint32 x[2100] @ 4;\n\
+     for (i = 0; i < 1000; i++) { s += x[2*i+1]; }"
 
-let timings =
-  if run_bench then begin
-    Format.printf "=== Bechamel timings (monotonic clock) ===@.";
-    let ts = benchmark () in
-    List.iter
-      (fun (test_name, est) ->
-        Format.printf "%-40s %12.0f ns/run@." test_name est)
-      ts;
-    ts
-  end
-  else []
+let () =
+  Format.printf "=== Ablations ===@.";
+  ablations ();
+  Format.printf "=== Extensions ===@.";
+  extensions ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON output                                                         *)
 (* ------------------------------------------------------------------ *)
+
+let programs =
+  [
+    ("fig11_S1L6", Simd.Synth.generate ~machine spec);
+    ( "table1_S4L8",
+      Simd.Synth.generate ~machine
+        { spec with Simd.Synth.stmts = 4; loads_per_stmt = 8 } );
+    ( "table2_S4L4_int16",
+      Simd.Synth.generate ~machine
+        {
+          spec with
+          Simd.Synth.stmts = 4;
+          loads_per_stmt = 4;
+          elem = Simd.Ast.I16;
+        } );
+  ]
+
+let config policy reuse =
+  { Simd.Driver.default with Simd.Driver.machine; policy; reuse }
 
 (* Static cost reports of the benchmark programs under every policy: what
    each placement decided and what it cost (the data behind the exact-
@@ -254,13 +202,7 @@ let timings =
    changed the IR, and their operation-count deltas — and with the static
    verifier's verdict (Simd.Check): per-boundary violations (none, for a
    healthy compiler) and the proof obligations discharged — plus the
-   simd-lint/1 report (Simd.Lint) of wasted or suspicious vector code.
-
-   Each (program, policy) scheme's report is served from the artifact
-   cache: the key covers library version, program source, and canonical
-   config, so an unchanged scheme is never recompiled across bench runs.
-   The cached payload remembers how long the cold compile took — the time
-   a hit saves. *)
+   simd-lint/1 report (Simd.Lint) of wasted or suspicious vector code. *)
 let compile_scheme program policy : Simd.Json.t option =
   let trace = Simd.Trace.create () in
   match
@@ -296,94 +238,18 @@ let compile_scheme program policy : Simd.Json.t option =
          ])
   | Simd.Driver.Scalar _ -> None
 
-type report_cache_stats = {
-  mutable sr_hits : int;
-  mutable sr_misses : int;
-  mutable sr_saved_ms : float;
-}
-
-let report_cache = { sr_hits = 0; sr_misses = 0; sr_saved_ms = 0. }
-
-(* Cold compiles wrap the document with their own elapsed time; a hit
-   replays the document and books that time as saved. A scalar outcome is
-   cached too (as null), so unvectorizable schemes are not re-attempted. *)
-let compile_scheme_cached cas program policy : Simd.Json.t option =
-  let key =
-    Simd.Cas.key
-      [
-        "bench-static/1";
-        Simd.Serve.Protocol.library_version;
-        Simd.Driver.config_to_string
-          (config policy Simd.Driver.Software_pipelining);
-        Simd.Pp.program_to_string program;
-      ]
-  in
-  let unwrap doc =
-    match
-      (Simd.Json.member "elapsed_ms" doc, Simd.Json.member "doc" doc)
-    with
-    | Some (Simd.Json.Float ms), Some payload -> Some (ms, payload)
-    | _ -> None
-  in
-  let hit =
-    match Simd.Cas.find cas ~key with
-    | None -> None
-    | Some payload -> (
-      match Simd.Json.of_string payload with
-      | Ok doc -> unwrap doc
-      | Error _ -> None)
-  in
-  match hit with
-  | Some (ms, payload) ->
-    report_cache.sr_hits <- report_cache.sr_hits + 1;
-    report_cache.sr_saved_ms <- report_cache.sr_saved_ms +. ms;
-    (match payload with Simd.Json.Null -> None | doc -> Some doc)
-  | None ->
-    report_cache.sr_misses <- report_cache.sr_misses + 1;
-    let t0 = Unix.gettimeofday () in
-    let result = compile_scheme program policy in
-    let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-    let payload = Option.value ~default:Simd.Json.Null result in
-    Simd.Cas.store cas ~key
-      (Simd.Json.to_line
-         (Simd.Json.Obj
-            [
-              ("elapsed_ms", Simd.Json.Float elapsed_ms); ("doc", payload);
-            ]));
-    result
-
 let static_reports () : Simd.Json.t =
-  let programs =
-    [
-      ("fig11_S1L6", fig_program);
-      ("table1_S4L8", table1_program);
-      ("table2_S4L4_int16", table2_program);
-    ]
-  in
-  let compile =
-    match cache_dir with
-    | None -> compile_scheme
-    | Some dir -> compile_scheme_cached (Simd.Cas.create ~dir ())
-  in
-  let doc =
-    Simd.Json.Obj
-      (List.map
-         (fun (label, program) ->
-           ( label,
-             Simd.Json.Obj
-               (List.filter_map
-                  (fun policy ->
-                    compile program policy
-                    |> Option.map (fun d -> (Simd.Policy.name policy, d)))
-                  Simd.Policy.all) ))
-         programs)
-  in
-  if cache_dir <> None then
-    Format.eprintf
-      "static reports: %d schemes from cache (%.0f ms of compilation \
-       saved), %d compiled cold@."
-      report_cache.sr_hits report_cache.sr_saved_ms report_cache.sr_misses;
-  doc
+  Simd.Json.Obj
+    (List.map
+       (fun (label, program) ->
+         ( label,
+           Simd.Json.Obj
+             (List.filter_map
+                (fun policy ->
+                  compile_scheme program policy
+                  |> Option.map (fun d -> (Simd.Policy.name policy, d)))
+                Simd.Policy.all) ))
+       programs)
 
 (* ------------------------------------------------------------------ *)
 (* The backend matrix: one placement per program, retargeted to every
@@ -452,47 +318,24 @@ let backends_json () : Simd.Json.t =
         | Some c -> Simd.Json.String (Simd.Cc.id c)
         | None -> Simd.Json.Null );
       ("probe", probe);
-      ( "programs",
-        Simd.Json.Obj
-          (List.map program_json
-             [
-               ("fig11_S1L6", fig_program);
-               ("table1_S4L8", table1_program);
-               ("table2_S4L4_int16", table2_program);
-             ]) );
+      ("programs", Simd.Json.Obj (List.map program_json programs));
     ]
 
 let () =
-  match json_path with
+  (match json_path with
   | None -> ()
   | Some path ->
-    (* Bind first: report_cache must be populated before it is rendered
-       (list-element evaluation order is unspecified). *)
-    let reports = static_reports () in
-    let doc =
-      Simd.Json.Obj
-        [
-          ("loops", Simd.Json.Int loops);
-          ("fig11", Simd.Suite.opd_figure_to_json fig11);
-          ("fig12", Simd.Suite.opd_figure_to_json fig12);
-          ("table1", Simd.Suite.speedup_table_to_json table1);
-          ("table2", Simd.Suite.speedup_table_to_json table2);
-          ("coverage", Simd.Suite.coverage_to_json cov);
-          ("static_reports", reports);
-          ("backends", backends_json ());
-          ( "static_reports_cache",
-            if cache_dir = None then Simd.Json.Null
-            else
-              Simd.Json.Obj
-                [
-                  ("hits", Simd.Json.Int report_cache.sr_hits);
-                  ("misses", Simd.Json.Int report_cache.sr_misses);
-                  ("saved_ms", Simd.Json.Float report_cache.sr_saved_ms);
-                ] );
-          ( "timings_ns_per_run",
-            Simd.Json.Obj
-              (List.map (fun (n, e) -> (n, Simd.Json.Float e)) timings) );
-        ]
-    in
-    Simd.Json.to_file ~indent:2 path doc;
-    Format.printf "wrote %s@." path
+    Simd.Json.to_file ~indent:2 path
+      (Simd.Json.Obj
+         [
+           ("loops", Simd.Json.Int loops);
+           ("fig11", Simd.Suite.opd_figure_to_json fig11);
+           ("fig12", Simd.Suite.opd_figure_to_json fig12);
+           ("table1", Simd.Suite.speedup_table_to_json table1);
+           ("table2", Simd.Suite.speedup_table_to_json table2);
+           ("coverage", Simd.Suite.coverage_to_json cov);
+           ("static_reports", static_reports ());
+           ("backends", backends_json ());
+         ]);
+    Format.printf "wrote %s@." path);
+  if cov.Simd.Suite.failures <> [] then exit 1

@@ -60,20 +60,18 @@ let write_failures ~out ~seed failures =
     failures
 
 (* Per-rule lint counters over a deterministic bounded sample of the
-   campaign's case stream: the first [min budget 200] cases regenerated
-   from [seed] (the sequential-campaign prefix), compiled under their
-   sampled configs and linted. A pure function of [seed] and [budget],
-   so reports stay byte-identical for fixed inputs. *)
-let lint_json ~seed ~budget : Simd.Json.t =
+   campaign's cases: the first [min budget 200] cases of its chunk plan,
+   regenerated from each chunk's seed, compiled under their sampled
+   configs and linted. A pure function of [seed], [budget] and
+   [chunk_size], so reports stay byte-identical for fixed inputs. *)
+let lint_json ~seed ~budget ~chunk_size : Simd.Json.t =
   let sample = min budget 200 in
   let totals = Hashtbl.create 16 in
   List.iter
     (fun (r : Simd.Lint.rule) -> Hashtbl.replace totals r.Simd.Lint.name 0)
     Simd.Lint.rules;
   let simdized = ref 0 and scalar = ref 0 and findings = ref 0 in
-  let prng = Simd.Prng.create ~seed in
-  for _ = 1 to sample do
-    let case = Fuzz.Genloop.gen_case prng in
+  let lint_case (case : Fuzz.Case.t) =
     match
       Simd.Driver.simdize case.Fuzz.Case.config case.Fuzz.Case.program
     with
@@ -86,7 +84,14 @@ let lint_json ~seed ~budget : Simd.Json.t =
         (fun (name, n) ->
           Hashtbl.replace totals name (Hashtbl.find totals name + n))
         r.Simd.Lint.counts
-  done;
+  in
+  List.iter
+    (fun (c : Fuzz.Campaign.chunk) ->
+      let prng = Simd.Prng.create ~seed:c.Fuzz.Campaign.chunk_seed in
+      for _ = 1 to c.Fuzz.Campaign.size do
+        lint_case (Fuzz.Genloop.gen_case prng)
+      done)
+    (Fuzz.Campaign.plan ~chunk_size ~seed ~budget:sample ());
   Simd.Json.Obj
     [
       ("sample", Simd.Json.Int sample);
@@ -144,7 +149,7 @@ let report_json ~seed ~budget ~jobs ~chunk_size ~oracle ~wall_s
       ("stats", Fuzz.Campaign.stats_to_json r.Par.Campaign.stats);
       ("failures", Simd.Json.List (List.map failure_json written));
       ("lost_chunks", Simd.Json.List (List.map lost_json r.Par.Campaign.lost));
-      ("lint", lint_json ~seed ~budget);
+      ("lint", lint_json ~seed ~budget ~chunk_size);
       (* Everything above is deterministic for fixed seed/budget/oracle;
          the perf section below is the only part that varies with --jobs
          and machine load. *)

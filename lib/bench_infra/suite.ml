@@ -1,7 +1,7 @@
 (** Experiment drivers reproducing §5's figures and tables.
 
     Each driver returns plain data (so tests can assert on trends) plus a
-    renderer used by [bin/experiments] and [bench/main]. *)
+    renderer used by the evaluation driver [bench/main]. *)
 
 open Simd_loopir
 module Policy = Simd_dreorg.Policy
@@ -524,34 +524,3 @@ let coverage_to_json (c : coverage_report) : Json.t =
                  ])
              c.failures) );
     ]
-
-let ablation_to_json (a : ablation) : Json.t =
-  Json.Obj
-    [
-      ("title", Json.String a.title);
-      ( "rows",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [
-                   ("knob", Json.String r.knob);
-                   ("value", Json.String r.value);
-                   ("opd", Json.Float r.opd);
-                   ("speedup", Json.Float r.speedup);
-                 ])
-             a.rows) );
-    ]
-
-let peeling_to_json (rows : peel_row list) : Json.t =
-  Json.List
-    (List.map
-       (fun r ->
-         Json.Obj
-           [
-             ("bias", Json.Float r.bias);
-             ("peel_ok", Json.Int r.peel_ok);
-             ("ours_ok", Json.Int r.ours_ok);
-             ("total", Json.Int r.total);
-           ])
-       rows)

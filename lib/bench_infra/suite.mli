@@ -1,6 +1,6 @@
 (** Experiment drivers reproducing §5's figures and tables, plus the
     extension ablations. Each driver returns plain data (tests assert on
-    trends) and has a renderer used by [bin/experiments] and
+    trends) and has a renderer used by the evaluation driver
     [bench/main]. *)
 
 open Simd_loopir
@@ -135,5 +135,3 @@ val pp_peeling : Format.formatter -> peel_row list -> unit
 val opd_figure_to_json : opd_figure -> Simd_support.Json.t
 val speedup_table_to_json : speedup_table -> Simd_support.Json.t
 val coverage_to_json : coverage_report -> Simd_support.Json.t
-val ablation_to_json : ablation -> Simd_support.Json.t
-val peeling_to_json : peel_row list -> Simd_support.Json.t

@@ -161,63 +161,27 @@ module Reach = struct
     | Expr.If (_, t, f) -> Expr.temps_written t @ Expr.temps_written f
 
   (** A loop-carried temporary: read at [ca_first_read] before any body
-      definition reaches it. [ca_first_def]/[ca_def_count] describe the
-      body definitions of the same name (the seam restores of software
-      pipelining and unrolling). *)
-  type carried = {
-    ca_name : string;
-    ca_first_read : int;
-    ca_first_def : int option;
-    ca_def_count : int;
-  }
+      definition reaches it. *)
+  type carried = { ca_name : string; ca_first_read : int }
 
   (** The loop-carried temporaries of a body, in first-read order. A
       temp is carried iff its first read is at or before its first
       definition (reads and defs of one statement count the read
       first). *)
   let carried_temps body =
-    let n = List.length body in
-    let reads = Array.make n [] and defs = Array.make n [] in
-    List.iteri
-      (fun i s ->
-        reads.(i) <- List.rev (stmt_reads [] s);
-        defs.(i) <- stmt_defs s)
-      body;
-    let first_def = Hashtbl.create 16 and def_count = Hashtbl.create 16 in
-    Array.iteri
-      (fun i ds ->
-        List.iter
-          (fun x ->
-            if not (Hashtbl.mem first_def x) then Hashtbl.add first_def x i;
-            Hashtbl.replace def_count x
-              (1 + Option.value ~default:0 (Hashtbl.find_opt def_count x)))
-          ds)
-      defs;
     let seen = Hashtbl.create 16 in
     let acc = ref [] in
-    Array.iteri
-      (fun i rs ->
+    List.iteri
+      (fun i s ->
         List.iter
           (fun x ->
             if not (Hashtbl.mem seen x) then begin
               Hashtbl.add seen x ();
-              let fd = Hashtbl.find_opt first_def x in
-              let live_in =
-                match fd with None -> true | Some d -> i <= d
-              in
-              if live_in then
-                acc :=
-                  {
-                    ca_name = x;
-                    ca_first_read = i;
-                    ca_first_def = fd;
-                    ca_def_count =
-                      Option.value ~default:0 (Hashtbl.find_opt def_count x);
-                  }
-                  :: !acc
+              acc := { ca_name = x; ca_first_read = i } :: !acc
             end)
-          rs)
-      reads;
+          (List.rev (stmt_reads [] s));
+        List.iter (fun x -> Hashtbl.replace seen x ()) (stmt_defs s))
+      body;
     List.rev !acc
 end
 

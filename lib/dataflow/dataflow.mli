@@ -94,8 +94,6 @@ module Reach : sig
   type carried = {
     ca_name : string;
     ca_first_read : int;  (** index of the first (pre-definition) read *)
-    ca_first_def : int option;  (** first body definition, if any *)
-    ca_def_count : int;  (** number of body definitions *)
   }
   (** A loop-carried temporary: read before any body definition. *)
 

@@ -445,28 +445,29 @@ let write_all fd s =
   in
   go 0
 
-let serve_fd t in_fd out_fd =
-  let r = make_reader in_fd in
-  let rec loop () =
-    match next_line r ~block:true with
-    | None -> `Eof
-    | Some first ->
-      (* Drain whatever is already pending: that is the batch. *)
-      let batch = ref [ first ] in
-      let n = ref 1 in
-      let continue = ref true in
-      while !n < t.max_batch && !continue do
+(* Serve batches from [r] until it runs dry, writing each batch's
+   responses to [out_fd]. A batch is the next line, waited for when
+   [block], plus whatever is already pending, up to [max_batch] lines.
+   [`Continue] means no complete line is buffered (only without [block]). *)
+let rec serve_batches t r out_fd ~block =
+  match next_line r ~block with
+  | None -> if r.eof && Queue.is_empty r.queue then `Eof else `Continue
+  | Some first ->
+    let rec drain n acc =
+      if n >= t.max_batch then List.rev acc
+      else
         match next_line r ~block:false with
-        | Some line ->
-          batch := line :: !batch;
-          incr n
-        | None -> continue := false
-      done;
-      let responses, shutdown = handle_batch t (List.rev !batch) in
-      write_all out_fd (String.concat "" (List.map (fun l -> l ^ "\n") responses));
-      if shutdown then `Shutdown else loop ()
-  in
-  loop ()
+        | Some line -> drain (n + 1) (line :: acc)
+        | None -> List.rev acc
+    in
+    let responses, shutdown = handle_batch t (drain 1 [ first ]) in
+    write_all out_fd (String.concat "" (List.map (fun l -> l ^ "\n") responses));
+    if shutdown then `Shutdown else serve_batches t r out_fd ~block
+
+let serve_fd t in_fd out_fd =
+  match serve_batches t (make_reader in_fd) out_fd ~block:true with
+  | `Shutdown -> `Shutdown
+  | `Eof | `Continue -> `Eof
 
 (* One readiness event on an accepted connection: pull the bytes that
    arrived, then serve every complete batch already buffered (select only
@@ -474,26 +475,7 @@ let serve_fd t in_fd out_fd =
    here, not left for a wakeup that never comes). *)
 let service_ready t r =
   ignore (refill r ~block:true);
-  let rec serve_batches () =
-    match next_line r ~block:false with
-    | None -> if r.eof && Queue.is_empty r.queue then `Eof else `Continue
-    | Some first ->
-      let batch = ref [ first ] in
-      let n = ref 1 in
-      let continue = ref true in
-      while !n < t.max_batch && !continue do
-        match next_line r ~block:false with
-        | Some line ->
-          batch := line :: !batch;
-          incr n
-        | None -> continue := false
-      done;
-      let responses, shutdown = handle_batch t (List.rev !batch) in
-      write_all r.fd
-        (String.concat "" (List.map (fun l -> l ^ "\n") responses));
-      if shutdown then `Shutdown else serve_batches ()
-  in
-  serve_batches ()
+  serve_batches t r r.fd ~block:false
 
 let listen_unix t ~path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());

@@ -1,6 +1,7 @@
 (* Evaluation-harness tests: the loop synthesizer's contracts, the §5.3
-   lower-bound model on hand-computed cases, the OPD/speedup metrics, and
-   small-scale runs of the experiment drivers asserting the paper's trends. *)
+   lower-bound model on hand-computed cases, the OPD/speedup metrics,
+   small-scale runs of the experiment drivers asserting the paper's trends,
+   and the evaluation driver's argument check. *)
 
 open Simd
 
@@ -234,6 +235,13 @@ let test_coverage_small () =
   check_int "all verified" r.Suite.attempted r.Suite.verified;
   check_int "36 variants" 36 r.Suite.attempted
 
+(* The driver rejects what it does not know before computing anything:
+   a stale flag or a typo exits 2 instead of running the default sweep. *)
+let test_driver_rejects_unknown_arguments () =
+  let command line = Sys.command (line ^ " >/dev/null 2>&1") in
+  check_int "stale --no-bench exits 2" 2 (command "../bench/main.exe --no-bench");
+  check_int "typo --loop exits 2" 2 (command "../bench/main.exe --loop 5")
+
 let suite =
   [
     ( "bench",
@@ -254,5 +262,7 @@ let suite =
         Alcotest.test_case "fig12 reassoc trend" `Slow test_fig12_reassoc_reduces_shift_overhead;
         Alcotest.test_case "table trends" `Slow test_table_trends;
         Alcotest.test_case "coverage small" `Slow test_coverage_small;
+        Alcotest.test_case "driver rejects unknown arguments" `Quick
+          test_driver_rejects_unknown_arguments;
       ] );
   ]

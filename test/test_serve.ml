@@ -5,7 +5,7 @@
    vocabulary, control ops), the pure compile path (agreement with the
    driver, cache-key hygiene, cached-vs-cold byte equality), and the
    batching server (ordering, dedupe, determinism across worker counts,
-   the fd loop end to end). *)
+   the batch cap, the fd loop end to end). *)
 
 open Simd
 
@@ -703,6 +703,62 @@ let test_server_no_trailing_newline () =
   close_in ic;
   check_int "unterminated final request answered" 2 (List.length !out)
 
+(* [max_batch] caps how many pending lines one batch drains, on both I/O
+   paths. Ten pings piped at once fill batches to the cap of three; a
+   socket client's trailing stats sees no batch deeper than the cap. *)
+let test_server_max_batch () =
+  let pings =
+    String.concat "" (List.init 10 (fun _ -> {|{"op":"ping"}|} ^ "\n"))
+  in
+  let max_depth doc =
+    Option.bind (Json.member "batches" doc) (Json.member "max_depth")
+  in
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  check_int "request bytes written" (String.length pings)
+    (Unix.write_substring req_w pings 0 (String.length pings));
+  Unix.close req_w;
+  let server = Serve.Server.create ~max_batch:3 () in
+  check_bool "eof verdict" true (Serve.Server.serve_fd server req_r resp_w = `Eof);
+  List.iter Unix.close [ req_r; resp_w; resp_r ];
+  check_bool "pipe batches fill to the cap" true
+    (max_depth (Serve.Server.telemetry server) = Some (Json.Int 3));
+  with_tmp_dir (fun dir ->
+      let path = Filename.concat dir "sock" in
+      match Unix.fork () with
+      | 0 ->
+        (try
+           Serve.Server.listen_unix (Serve.Server.create ~max_batch:3 ()) ~path
+         with _ -> ());
+        Unix._exit 0
+      | pid ->
+        let rec await n =
+          if Sys.file_exists path then ()
+          else if n = 0 then Alcotest.fail "socket never appeared"
+          else begin
+            Unix.sleepf 0.02;
+            await (n - 1)
+          end
+        in
+        await 250;
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        let req = pings ^ {|{"op":"stats"}|} ^ "\n" ^ {|{"op":"shutdown"}|} ^ "\n" in
+        ignore (Unix.write_substring fd req 0 (String.length req));
+        let ic = Unix.in_channel_of_descr fd in
+        for _ = 1 to 10 do
+          ignore (input_line ic)
+        done;
+        (match Json.of_string (input_line ic) |> Result.map max_depth with
+        | Ok (Some (Json.Int d)) ->
+          check_bool "socket batches capped" true (d >= 1 && d <= 3)
+        | _ -> Alcotest.fail "stats response lacks batches.max_depth");
+        ignore (input_line ic);
+        close_in ic;
+        (match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 0 -> ()
+        | _ -> Alcotest.fail "daemon did not exit cleanly"))
+
 (* Two concurrent clients on the Unix-domain socket. Client A parks half
    a request line (no newline); client B, connected alongside, must get a
    full round trip while A is mid-line — the accept loop multiplexes
@@ -836,5 +892,7 @@ let suite =
           test_socket_two_clients;
         Alcotest.test_case "no trailing newline" `Quick
           test_server_no_trailing_newline;
+        Alcotest.test_case "max_batch caps batches" `Quick
+          test_server_max_batch;
       ] );
   ]
