@@ -200,9 +200,10 @@ let config policy reuse =
    solver series), each paired with the compact pass-pipeline trace
    summary (Simd.Trace) of that compilation — which passes ran, which
    changed the IR, and their operation-count deltas — and with the static
-   verifier's verdict (Simd.Check): per-boundary violations (none, for a
-   healthy compiler) and the proof obligations discharged — plus the
-   simd-lint/1 report (Simd.Lint) of wasted or suspicious vector code. *)
+   verifier's document (Simd.Driver.check_to_json): its verdict,
+   per-boundary violations (none, for a healthy compiler) and the proof
+   obligations discharged — plus the simd-lint/2 report (Simd.Lint) of
+   wasted or suspicious vector code. *)
 let compile_scheme program policy : Simd.Json.t option =
   let trace = Simd.Trace.create () in
   match
@@ -217,24 +218,7 @@ let compile_scheme program policy : Simd.Json.t option =
            ("report", Simd.Opt.Report.to_json (Simd.Driver.report o));
            ("trace", Simd.Trace.summary_to_json trace);
            ("lint", Simd.Lint.report_to_json (Simd.Lint.run o));
-           ( "check",
-             let violation_json (boundary, v) =
-               let fields =
-                 match Simd.Check.violation_to_json v with
-                 | Simd.Json.Obj fields -> fields
-                 | j -> [ ("violation", j) ]
-               in
-               Simd.Json.Obj
-                 (("boundary", Simd.Json.String boundary) :: fields)
-             in
-             Simd.Json.Obj
-               [
-                 ( "violations",
-                   Simd.Json.List
-                     (List.map violation_json (Simd.Driver.check_violations o))
-                 );
-                 ("facts", Simd.Check.facts_to_json (Simd.Driver.check_facts o));
-               ] );
+           ("check", Simd.Driver.check_to_json o);
          ])
   | Simd.Driver.Scalar _ -> None
 

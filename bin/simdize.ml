@@ -76,7 +76,7 @@ let trace_conv =
 
 let lint_conv =
   let parse = function
-    | "on" | "basic" -> Ok `On
+    | "on" -> Ok `On
     | "strict" -> Ok `Strict
     | s -> Error (`Msg (Printf.sprintf "unknown lint mode %S" s))
   in
@@ -86,10 +86,10 @@ let lint_conv =
         Format.pp_print_string fmt
           (match k with `On -> "on" | `Strict -> "strict") )
 
-(* Unified exit codes, shared with simdlint.exe (see docs/LINT.md):
-   0 = clean, 1 = warning-only lint findings under --lint=strict,
-   2 = errors (static-verifier violations, lint errors, parse failures,
-   scalar fallback, verification failures). *)
+(* Exit codes (see docs/LINT.md): 2 = a parse failure, a scalar
+   fallback, a --check violation, a --verify failure or a backend
+   mismatch; 1 = lint findings under --lint=strict; 0 = everything
+   else. *)
 let run file policy reuse memnorm reassoc peel unroll cleanup vector_len emit
     stats simulate verify trip trace_fmt check lint_mode =
   let src = read_input file in
@@ -162,15 +162,13 @@ let run file policy reuse memnorm reassoc peel unroll cleanup vector_len emit
         List.iter
           (fun f -> Format.eprintf "lint: %a@." Simd.Lint.pp_finding f)
           r.Simd.Lint.findings;
-        if Simd.Lint.clean r then
+        match List.length r.Simd.Lint.findings with
+        | 0 ->
           Format.printf "// lint: clean (%d rules)@."
             (List.length Simd.Lint.rules)
-        else
-          Format.eprintf "lint: %d error%s, %d warning%s@." r.Simd.Lint.errors
-            (if r.Simd.Lint.errors = 1 then "" else "s")
-            r.Simd.Lint.warnings
-            (if r.Simd.Lint.warnings = 1 then "" else "s");
-        worst (Simd.Lint.exit_code ~strict:(mode = `Strict) r));
+        | n ->
+          Format.eprintf "lint: %d warning%s@." n (if n = 1 then "" else "s");
+          if mode = `Strict then worst 1);
       (match emit with
       | `Vir -> print_string (Simd.Vir_prog.to_string o.Simd.Driver.prog)
       | `Graph ->
@@ -353,12 +351,10 @@ let cmd =
           ~doc:"Run the registry-based linter (Simd.Lint) on the compiled \
                 program: dead vector operations, redundant or cancelling \
                 stream shifts, unused streams, write-before-read clobbers, \
-                unhoisted loop-invariant operations, shift-amount range, \
-                and lane-uniform store masks. $(docv) is $(b,on) (default) \
-                or $(b,strict) (warnings affect the exit code). Exit codes \
-                are shared with simdlint.exe: 2 on errors, 1 on \
-                warning-only findings under strict, 0 when clean \
-                (docs/LINT.md).")
+                unhoisted loop-invariant operations, and lane-uniform store \
+                masks. Findings are warnings, printed on stderr. $(docv) \
+                is $(b,on) (default) or $(b,strict), under which any \
+                finding exits 1 (docs/LINT.md).")
   in
   Cmd.v
     (Cmd.info "simdize" ~version:"1.0"

@@ -39,10 +39,10 @@ let pp_violation fmt v =
 
 let violation_to_string v = Format.asprintf "%a" pp_violation v
 
-let violation_to_json v =
+let violation_to_json ~boundary v =
   Json.Obj
     [
-      ("severity", Json.String "error");
+      ("boundary", Json.String boundary);
       ("rule", Json.String v.rule);
       ("where", Json.String v.where);
       ("detail", Json.String v.detail);

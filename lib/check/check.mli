@@ -55,8 +55,9 @@ val pp_violation : Format.formatter -> violation -> unit
 (** [error[rule] where: detail]. *)
 
 val violation_to_string : violation -> string
-val violation_to_json : violation -> Simd_support.Json.t
-(** [{"severity": "error", "rule", "where", "detail"}]. *)
+val violation_to_json : boundary:string -> violation -> Simd_support.Json.t
+(** [{"boundary", "rule", "where", "detail"}], where [boundary] names the
+    pass boundary that surfaced the violation. *)
 
 val facts_to_json : facts -> Simd_support.Json.t
 

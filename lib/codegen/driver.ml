@@ -20,6 +20,7 @@ module Graph = Simd_dreorg.Graph
 module Reassoc = Simd_dreorg.Reassoc
 module Trace = Simd_trace.Trace
 module Check = Simd_check.Check
+module Json = Simd_support.Json
 
 (** Cross-iteration reuse strategy (§5.5): none, predictive commoning (a
     post-pass on standard code), or software-pipelined generation. *)
@@ -467,7 +468,11 @@ let run_passes ~trace ~verify config ~analysis (prog : Prog.t) =
   in
   let st =
     stage ~name:"dce" ~enabled:true st (fun st ->
-        { st with st_epilogues = Passes.dce st.st_epilogues })
+        {
+          st with
+          st_epilogues =
+            Simd_dataflow.Dataflow.Cleanup.dce_epilogues st.st_epilogues;
+        })
   in
   let st =
     gated vir_cleanup st (fun st ->
@@ -688,6 +693,21 @@ let check_facts (o : outcome) : Check.facts =
   List.fold_left
     (fun acc (_, (r : Check.result)) -> Check.add_facts acc r.Check.facts)
     Check.no_facts o.checks
+
+(** [check_to_json outcome] — the verifier's verdict, violations and
+    discharged obligations as one document. *)
+let check_to_json (o : outcome) : Json.t =
+  let violations = check_violations o in
+  Json.Obj
+    [
+      ("ok", Json.Bool (violations = []));
+      ( "violations",
+        Json.List
+          (List.map
+             (fun (boundary, v) -> Check.violation_to_json ~boundary v)
+             violations) );
+      ("facts", Check.facts_to_json (check_facts o));
+    ]
 
 (** [report outcome] — the static cost report of a compilation: what each
     statement's placement cost under the machine's cost model, and what

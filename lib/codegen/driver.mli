@@ -169,6 +169,12 @@ val check_violations : outcome -> (string * Check.violation) list
 val check_facts : outcome -> Check.facts
 (** Total proof obligations discharged across all boundaries. *)
 
+val check_to_json : outcome -> Simd_support.Json.t
+(** The verifier's document, [{"ok", "violations", "facts"}]: whether
+    {!check_violations} is empty, each violation as
+    {!Simd_check.Check.violation_to_json}, and {!check_facts}. Serve
+    artifacts and bench's static reports embed it. *)
+
 val report : outcome -> Simd_opt.Report.t
 (** The compilation's static cost report: per-statement streams, chosen
     shifts, operation counts, weighted cost, and the cost under every other

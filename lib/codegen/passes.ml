@@ -752,53 +752,6 @@ and spec_expr ~analysis ~trip ~i (e : Expr.vexpr) : Expr.vexpr =
         spec_expr ~analysis ~trip ~i b )
 
 (* ------------------------------------------------------------------ *)
-(* Dead code elimination (epilogue cleanup)                            *)
-(* ------------------------------------------------------------------ *)
-
-(** [dce segments] — remove assignments whose temporaries are never read
-    later (within the given consecutive segments, e.g. epilogue then
-    epilogue2) and conditionals that became empty. Temporaries read by
-    nothing downstream are dead because segments are the program tail. *)
-let dce (segments : Expr.stmt list list) : Expr.stmt list list =
-  (* Liveness is a set: a conditional's live-in is the union of its
-     branches' live-ins (an earlier list-based version concatenated them,
-     which doubled per conditional and went exponential across many virtual
-     epilogue iterations). *)
-  let module S = Simd_support.Util.String_set in
-  let add_reads live e =
-    Expr.fold_vexpr
-      (fun acc n -> match n with Expr.Temp t -> S.add t acc | _ -> acc)
-      live e
-  in
-  let rec sweep (live : S.t) (stmts : Expr.stmt list) : S.t * Expr.stmt list =
-    (* backward pass *)
-    match stmts with
-    | [] -> (live, [])
-    | s :: rest -> (
-      let live, rest' = sweep live rest in
-      match s with
-      | Expr.Assign (x, e) ->
-        if S.mem x live then (add_reads (S.remove x live) e, s :: rest')
-        else (live, rest')
-      | Expr.Store (_, e) -> (add_reads live e, s :: rest')
-      | Expr.Storem (_, e, m) -> (add_reads (add_reads live e) m, s :: rest')
-      | Expr.If (c, th, el) ->
-        let live_t, th' = sweep live th in
-        let live_e, el' = sweep live el in
-        if th' = [] && el' = [] then (live, rest')
-        else (S.union live_t live_e, Expr.If (c, th', el') :: rest'))
-  in
-  (* Process segments back to front, threading liveness. *)
-  let rec go = function
-    | [] -> (S.empty, [])
-    | seg :: later ->
-      let live_later, later' = go later in
-      let live, seg' = sweep live_later seg in
-      (live, seg' :: later')
-  in
-  snd (go segments)
-
-(* ------------------------------------------------------------------ *)
 (* Whole-program VIR cleanup (dataflow-backed)                         *)
 (* ------------------------------------------------------------------ *)
 

@@ -64,10 +64,6 @@ val specialize :
 (** Partial evaluation: resolve the counter/trip where known, folding guard
     conditionals to their live branch. *)
 
-val dce : Expr.stmt list list -> Expr.stmt list list
-(** Backward liveness over consecutive tail segments: drop dead
-    assignments and emptied conditionals. *)
-
 val vir_cleanup :
   v:int ->
   block:int ->

@@ -78,8 +78,8 @@ module Trace = Simd_trace.Trace
    evaluator — and {!Dataflow.Cleanup}) with its offset lattice
    ({!Absoff}); the pass-boundary verifier ({!Check}, errors only, run at
    every boundary via [Driver.simdize ~check:true]); the registry-based
-   linter of wasted work ({!Lint}, surfaced as [simdize --lint] and
-   [bin/simdlint.exe]) *)
+   linter of wasted work ({!Lint}, warnings only, surfaced as
+   [simdize --lint]) *)
 module Dataflow = Simd_dataflow.Dataflow
 module Absoff = Simd_dataflow.Absoff
 module Check = Simd_check.Check

@@ -741,12 +741,30 @@ module Cleanup = struct
           else (Expr.If (c, t', f') :: kept, SS.union out_t out_f))
       indexed ([], out)
 
-  (* Whole-program DCE. Epilogue segments are threaded back to front;
-     the body's live-out closes over the back edge; the prologue's
-     live-out is the union of the body's live-in and the epilogues'
-     (the steady loop may run zero iterations). The epilogue segment
-     count is preserved even when a segment empties (the bound checks
-     demand [unroll + 1] segments). *)
+  (* The epilogue segments are the program tail: thread liveness through
+     them back to front from an empty live-out. Returns the kept segments
+     (one per input segment, even when it empties — the bound checks
+     demand [unroll + 1]) and the first segment's live-in. *)
+  let sweep_epilogues sweep epilogues =
+    List.fold_right
+      (fun (k, seg) (acc, out) ->
+        let seg', inn =
+          sweep ~region:(Printf.sprintf "epilogue[%d]" k) out seg
+        in
+        (seg' :: acc, inn))
+      (List.mapi (fun k seg -> (k, seg)) epilogues)
+      ([], SS.empty)
+
+  let dce_epilogues epilogues =
+    fst
+      (sweep_epilogues
+         (sweep ~read_anywhere:SS.empty ~idx0:0 ~note:ignore)
+         epilogues)
+
+  (* Whole-program DCE: the epilogues as above; the body's live-out
+     closes over the back edge; the prologue's live-out is the union of
+     the body's live-in and the epilogues' (the steady loop may run zero
+     iterations). *)
   let dce_program ~note prologue body epilogues =
     let read_anywhere =
       List.fold_left
@@ -755,22 +773,13 @@ module Cleanup = struct
         (prologue :: body :: epilogues)
     in
     let sweep = sweep ~read_anywhere ~idx0:0 ~note in
-    let eps_rev, live_epis =
-      List.fold_left
-        (fun (acc, out) (k, seg) ->
-          let seg', inn =
-            sweep ~region:(Printf.sprintf "epilogue[%d]" k) out seg
-          in
-          (seg' :: acc, inn))
-        ([], SS.empty)
-        (List.rev (List.mapi (fun k seg -> (k, seg)) epilogues))
-    in
+    let epilogues', live_epis = sweep_epilogues sweep epilogues in
     let body_out = Live.loop_out ~body live_epis in
     let body', body_in = sweep ~region:"body" body_out body in
     let prologue', _ =
       sweep ~region:"prologue" (SS.union body_in live_epis) prologue
     in
-    (prologue', body', eps_rev)
+    (prologue', body', epilogues')
 
   (* --- the pass ------------------------------------------------------ *)
 

@@ -213,4 +213,9 @@ module Cleanup : sig
     epilogues:Expr.stmt list list ->
     action list
   (** The actions {!run} would take, without rewriting anything. *)
+
+  val dce_epilogues : Expr.stmt list list -> Expr.stmt list list
+  (** {!run}'s liveness DCE over the epilogue segments alone: they are
+      the program tail, so an assignment nothing downstream reads is
+      dropped, and so is a conditional that empties. *)
 end

@@ -4,23 +4,19 @@
     linter reports waste and suspicion (right answers, badly): vector
     operations whose results are never read, stream shifts that cancel
     body-wide, loop-invariant work recomputed every iteration, masked
-    stores whose masks are provably lane-uniform. Every rule is named,
-    severity-tagged, and registered in {!rules} — the one list the CLI,
-    the JSON schema, and the docs all enumerate.
+    stores whose masks are provably lane-uniform. Every rule is named and
+    registered in {!rules} — the one list the CLI, the JSON schema, and
+    the docs all enumerate — and every finding is a warning: shift
+    amounts and splice points outside the register are Check's [range]
+    violations, not lint findings.
 
     Most rules are evidence-backed rather than re-implemented: they read
     the action log of a {!Simd_dataflow.Dataflow.Cleanup.dry_run} over
     the compiled regions, so a finding is by construction something the
     [vir_cleanup] pass can fix — running the driver with [cleanup = true]
-    and re-linting yields a clean report. The remaining rules
-    (shift-amount range, mask uniformity, unused streams) are structural
-    walks over the same IR.
-
-    Severity is the linter's alone (the verifier's violations are all
-    errors) and maps onto exit codes in exactly one place ({!exit_code}):
-    any [Error] finding exits 2, warnings exit 1 under [~strict:true]
-    and 0 otherwise — shared verbatim by [simdlint.exe] and
-    [simdize --lint]. *)
+    and re-linting yields a clean report. The remaining rules (mask
+    uniformity, unused streams) are structural walks over the same IR.
+    [simdize --lint=strict] turns any finding into exit code 1. *)
 
 open Simd_vir
 module Dataflow = Simd_dataflow.Dataflow
@@ -28,36 +24,16 @@ module Driver = Simd_codegen.Driver
 module Json = Simd_support.Json
 module SS = Simd_support.Util.String_set
 
-type severity = Error | Warning
-
-let severity_name = function Error -> "error" | Warning -> "warning"
-
-type finding = {
-  rule : string;
-  severity : severity;
-  where : string;
-  detail : string;
-}
-
-type report = {
-  findings : finding list;
-  counts : (string * int) list;
-  errors : int;
-  warnings : int;
-}
+type finding = { rule : string; where : string; detail : string }
+type report = { findings : finding list; counts : (string * int) list }
 
 (* ------------------------------------------------------------------ *)
 (* Rule context                                                        *)
 (* ------------------------------------------------------------------ *)
 
 (* Everything a rule may look at, computed once per [run]: the compiled
-   program, its geometry, and the cleanup rewriter's dry-run evidence. *)
-type ctx = {
-  prog : Prog.t;
-  v : int;
-  elem : int;
-  actions : Dataflow.Cleanup.action list;
-}
+   program and the cleanup rewriter's dry-run evidence. *)
+type ctx = { prog : Prog.t; actions : Dataflow.Cleanup.action list }
 
 let regions (p : Prog.t) =
   ("prologue", p.Prog.prologue) :: ("body", p.Prog.body)
@@ -193,52 +169,6 @@ let unused_stream ctx =
               d.Simd_loopir.Ast.arr_name ))
     ctx.prog.Prog.source.Simd_loopir.Ast.arrays
 
-let shift_range ctx =
-  let out = ref [] in
-  let emit where detail = out := (where, detail) :: !out in
-  let check_vexpr where e =
-    ignore
-      (Expr.fold_vexpr
-         (fun () e ->
-           match e with
-           | Expr.Shiftpair (_, _, r) when Rexpr.is_const r ->
-             let c = Rexpr.const_exn r in
-             if c < 0 || c > ctx.v then
-               emit where
-                 (Printf.sprintf
-                    "vshiftstream amount %d outside the register range [0, %d]"
-                    c ctx.v)
-             else if c mod ctx.elem <> 0 then
-               emit where
-                 (Printf.sprintf
-                    "vshiftstream amount %d is not a multiple of the element \
-                     width %d"
-                    c ctx.elem)
-           | Expr.Splice (_, _, r) when Rexpr.is_const r ->
-             let c = Rexpr.const_exn r in
-             if c < 0 || c > ctx.v then
-               emit where
-                 (Printf.sprintf
-                    "vsplice point %d outside the register range [0, %d]" c
-                    ctx.v)
-           | _ -> ())
-         () e)
-  in
-  List.iter
-    (fun (name, stmts) ->
-      iter_region
-        (fun idx s ->
-          let where = Printf.sprintf "%s#%d" name idx in
-          match s with
-          | Expr.Store (_, e) | Expr.Assign (_, e) -> check_vexpr where e
-          | Expr.Storem (_, e, m) ->
-            check_vexpr where e;
-            check_vexpr where m
-          | Expr.If _ -> ())
-        stmts)
-    (regions ctx.prog);
-  List.rev !out
-
 let mask_uniform ctx =
   let out = ref [] in
   List.iter
@@ -265,73 +195,37 @@ let mask_uniform ctx =
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type rule = { name : string; severity : severity; doc : string }
+type rule = { name : string; doc : string }
 
-(* The checkers, in registry order. Kept alongside [rules] rather than
-   inside it so the public registry stays closure-free (printable,
+(* Each rule's name, doc and checker, in registry order. The public
+   [rules] drops the checkers so it stays closure-free (printable,
    comparable). *)
-let checkers : (string * (ctx -> (string * string) list)) list =
+let registry : (string * string * (ctx -> (string * string) list)) list =
   [
-    ("dead-vop", dead_vop);
-    ("redundant-shift", redundant_shift);
-    ("unused-stream", unused_stream);
-    ("write-clobber", write_clobber);
-    ("invariant-vop", invariant_vop);
-    ("shift-range", shift_range);
-    ("mask-uniform", mask_uniform);
+    ( "dead-vop",
+      "a vector operation's result is never read by any later statement",
+      dead_vop );
+    ( "redundant-shift",
+      "a vshiftstream is a no-op or cancels against an adjacent or \
+       loop-carried shift of the same stream",
+      redundant_shift );
+    ( "unused-stream",
+      "a declared stream is never loaded or stored by the program",
+      unused_stream );
+    ( "write-clobber",
+      "a temporary is overwritten before the written value reaches any read",
+      write_clobber );
+    ( "invariant-vop",
+      "a loop-invariant vector operation is recomputed every iteration \
+       instead of being hoisted to the prologue",
+      invariant_vop );
+    ( "mask-uniform",
+      "a masked store's mask resolves to a splat, so every lane agrees and \
+       a guarded plain store would do",
+      mask_uniform );
   ]
 
-let rules : rule list =
-  [
-    {
-      name = "dead-vop";
-      severity = Warning;
-      doc =
-        "a vector operation's result is never read by any later statement";
-    };
-    {
-      name = "redundant-shift";
-      severity = Warning;
-      doc =
-        "a vshiftstream is a no-op or cancels against an adjacent or \
-         loop-carried shift of the same stream";
-    };
-    {
-      name = "unused-stream";
-      severity = Warning;
-      doc = "a declared stream is never loaded or stored by the program";
-    };
-    {
-      name = "write-clobber";
-      severity = Warning;
-      doc =
-        "a temporary is overwritten before the written value reaches any \
-         read";
-    };
-    {
-      name = "invariant-vop";
-      severity = Warning;
-      doc =
-        "a loop-invariant vector operation is recomputed every iteration \
-         instead of being hoisted to the prologue";
-    };
-    {
-      name = "shift-range";
-      severity = Error;
-      doc =
-        "a compile-time shift amount or splice point falls outside the \
-         vector register, or is not a multiple of the element width";
-    };
-    {
-      name = "mask-uniform";
-      severity = Warning;
-      doc =
-        "a masked store's mask resolves to a splat, so every lane agrees \
-         and a guarded plain store would do";
-    };
-  ]
-
-let find_rule name = List.find (fun r -> r.name = name) rules
+let rules = List.map (fun (name, doc, _) -> { name; doc }) registry
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -339,61 +233,44 @@ let find_rule name = List.find (fun r -> r.name = name) rules
 
 let run (outcome : Driver.outcome) : report =
   let prog = outcome.Driver.prog in
-  let v =
-    Simd_machine.Config.vector_len
-      outcome.Driver.analysis.Simd_loopir.Analysis.machine
-  in
   let ctx =
     {
       prog;
-      v;
-      elem = prog.Prog.elem;
       actions =
-        Dataflow.Cleanup.dry_run ~v ~block:prog.Prog.block
-          ~prologue:prog.Prog.prologue ~body:prog.Prog.body
-          ~epilogues:prog.Prog.epilogues;
+        Dataflow.Cleanup.dry_run
+          ~v:
+            (Simd_machine.Config.vector_len
+               outcome.Driver.analysis.Simd_loopir.Analysis.machine)
+          ~block:prog.Prog.block ~prologue:prog.Prog.prologue
+          ~body:prog.Prog.body ~epilogues:prog.Prog.epilogues;
     }
   in
-  let findings =
-    List.concat_map
-      (fun (name, check) ->
-        let severity = (find_rule name).severity in
-        List.map
-          (fun (where, detail) -> { rule = name; severity; where; detail })
-          (check ctx))
-      checkers
-  in
-  let count sev =
-    List.length
-      (List.filter (fun (f : finding) -> f.severity = sev) findings)
-  in
-  let counts =
+  let per_rule =
     List.map
-      (fun (name, _) ->
-        ( name,
-          List.length
-            (List.filter (fun (f : finding) -> f.rule = name) findings) ))
-      checkers
+      (fun (rule, _, check) ->
+        ( rule,
+          List.map (fun (where, detail) -> { rule; where; detail }) (check ctx)
+        ))
+      registry
   in
-  { findings; counts; errors = count Error; warnings = count Warning }
+  {
+    findings = List.concat_map snd per_rule;
+    counts = List.map (fun (name, fs) -> (name, List.length fs)) per_rule;
+  }
 
 let clean r = r.findings = []
-
-let exit_code ~strict (r : report) =
-  if r.errors > 0 then 2 else if strict && r.warnings > 0 then 1 else 0
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let pp_finding fmt (f : finding) =
-  Format.fprintf fmt "%s %s [%s]: %s" (severity_name f.severity) f.where
-    f.rule f.detail
+  Format.fprintf fmt "warning %s [%s]: %s" f.where f.rule f.detail
 
 let report_to_json (r : report) : Json.t =
   Json.Obj
     [
-      ("schema", Json.String "simd-lint/1");
+      ("schema", Json.String "simd-lint/2");
       ( "findings",
         Json.List
           (List.map
@@ -401,13 +278,10 @@ let report_to_json (r : report) : Json.t =
                Json.Obj
                  [
                    ("rule", Json.String f.rule);
-                   ("severity", Json.String (severity_name f.severity));
                    ("where", Json.String f.where);
                    ("detail", Json.String f.detail);
                  ])
              r.findings) );
       ( "counts",
         Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) r.counts) );
-      ("errors", Json.Int r.errors);
-      ("warnings", Json.Int r.warnings);
     ]

@@ -2,7 +2,6 @@
 
 module Driver = Simd_codegen.Driver
 module Policy = Simd_dreorg.Policy
-module Check = Simd_check.Check
 module Parse = Simd_loopir.Parse
 module Prog = Simd_vir.Prog
 module Report = Simd_opt.Report
@@ -53,25 +52,6 @@ let emit_output (prog : Prog.t) (e : Protocol.emit) =
   in
   (Protocol.emit_name e, out)
 
-let check_json (o : Driver.outcome) =
-  let violation_json (boundary, v) =
-    let fields =
-      match Check.violation_to_json v with
-      | Json.Obj fields -> fields
-      | j -> [ ("violation", j) ]
-    in
-    Json.Obj (("boundary", Json.String boundary) :: fields)
-  in
-  let violations = Driver.check_violations o in
-  let ok = violations = [] in
-  ( ok,
-    Json.Obj
-      [
-        ("ok", Json.Bool ok);
-        ("violations", Json.List (List.map violation_json violations));
-        ("facts", Check.facts_to_json (Driver.check_facts o));
-      ] )
-
 let run (r : Protocol.request) : outcome =
   match Parse.program_of_string_result r.Protocol.source with
   | Error m -> Invalid m
@@ -81,7 +61,6 @@ let run (r : Protocol.request) : outcome =
     | Driver.Scalar reason ->
       Scalar (Format.asprintf "%a" Driver.pp_reason reason)
     | Driver.Simdized o ->
-      let check_ok, check = check_json o in
       Artifact
         {
           policy = Policy.name r.Protocol.config.Driver.policy;
@@ -90,8 +69,8 @@ let run (r : Protocol.request) : outcome =
           shared_streams = List.length o.Driver.shared_streams;
           outputs = List.map (emit_output o.Driver.prog) r.Protocol.emits;
           report = Report.to_json (Driver.report o);
-          check_ok;
-          check;
+          check_ok = Driver.check_violations o = [];
+          check = Driver.check_to_json o;
           lint = Simd_lint.Lint.report_to_json (Simd_lint.Lint.run o);
         }
     | exception e -> Invalid ("compile: " ^ Printexc.to_string e))

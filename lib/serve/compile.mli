@@ -26,8 +26,8 @@ type artifact = {
       (** emit name → output, in request order: ["vir"], ["c"], ... *)
   report : Json.t;  (** the {!Simd_opt.Report} cost document *)
   check_ok : bool;  (** no static-verifier violations *)
-  check : Json.t;  (** per-boundary violations + discharged facts *)
-  lint : Json.t;  (** the simd-lint/1 report ({!Simd_lint.Lint}) *)
+  check : Json.t;  (** {!Simd_codegen.Driver.check_to_json} *)
+  lint : Json.t;  (** the simd-lint/2 report ({!Simd_lint.Lint}) *)
 }
 
 type outcome =

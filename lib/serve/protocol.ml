@@ -6,7 +6,7 @@ module Json = Simd_support.Json
 let schema = "simd-serve/1"
 
 (* Folded into every cache key. Bump when compilation output changes. *)
-let library_version = "simd_align/10"
+let library_version = "simd_align/11"
 
 type emit = Vir | C | Altivec | Sse | Avx2 | Neon
 

@@ -346,7 +346,35 @@ let test_tampered_vir_refuted () =
                   Vir_rexpr.Const 20 ) );
         ]
   in
-  check_bool "out-of-range amount refuted" true (has_rule "range" range)
+  check_bool "out-of-range amount refuted" true (has_rule "range" range);
+  (* range: a shift amount that splits an int32 lane *)
+  let split =
+    regions_errors analysis ~prologue:[]
+      ~body:
+        [
+          Vir_expr.Store
+            ( addr "a" 0,
+              Vir_expr.Shiftpair
+                ( Vir_expr.Load (addr "a" 0),
+                  Vir_expr.Load (addr "a" 4),
+                  Vir_rexpr.Const 2 ) );
+        ]
+  in
+  check_bool "lane-splitting amount refuted" true (has_rule "range" split);
+  (* range: a splice point beyond V *)
+  let splice =
+    regions_errors analysis ~prologue:[]
+      ~body:
+        [
+          Vir_expr.Store
+            ( addr "a" 0,
+              Vir_expr.Splice
+                ( Vir_expr.Load (addr "a" 0),
+                  Vir_expr.Load (addr "a" 4),
+                  Vir_rexpr.Const 20 ) );
+        ]
+  in
+  check_bool "out-of-range splice point refuted" true (has_rule "range" splice)
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing: outcome.checks, campaign counting                         *)

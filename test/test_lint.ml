@@ -2,14 +2,12 @@
    corpus programs (dead-shift-zero-policy flagged, zero-policy detours
    flagged whether or not another statement rides them, the cleanup
    witness dirty-then-clean, shared streams not flagged), hand-tampered VIR
-   negative tests for the structural rules, the simd-lint/1 JSON shape,
-   and the unified exit codes end-to-end through simdlint.exe and
-   simdize --lint. *)
+   negative tests for the structural rules, the simd-lint/2 JSON shape,
+   and the exit codes end-to-end through simdize --lint. *)
 
 open Simd
 module Prog = Vir_prog
 module Expr = Vir_expr
-module Rexpr = Vir_rexpr
 module Addr = Vir_addr
 
 let check_bool = Alcotest.(check bool)
@@ -30,7 +28,7 @@ let compile ?(config = Driver.default) file =
   let program =
     Parse.program_of_string (read_file (Filename.concat corpus_dir file))
   in
-  Driver.simdize_exn config program
+  Driver.simdize_exn ~check:true config program
 
 let count rule (r : Lint.report) = List.assoc rule r.Lint.counts
 
@@ -49,21 +47,13 @@ let witness_outcome ~cleanup =
 (* ------------------------------------------------------------------ *)
 
 let test_registry () =
-  check_int "seven rules" 7 (List.length Lint.rules);
+  check_int "six rules" 6 (List.length Lint.rules);
   let names = List.map (fun (r : Lint.rule) -> r.Lint.name) Lint.rules in
-  check_int "names unique" 7 (List.length (List.sort_uniq compare names));
+  check_int "names unique" 6 (List.length (List.sort_uniq compare names));
   List.iter
     (fun (r : Lint.rule) ->
-      let expect =
-        if r.Lint.name = "shift-range" then Lint.Error else Lint.Warning
-      in
-      check_bool (r.Lint.name ^ " severity") true (r.Lint.severity = expect);
       check_bool (r.Lint.name ^ " documented") true (r.Lint.doc <> ""))
-    Lint.rules;
-  check_bool "find_rule round-trips" true
-    (List.for_all
-       (fun (r : Lint.rule) -> Lint.find_rule r.Lint.name = r)
-       Lint.rules)
+    Lint.rules
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance programs                                                 *)
@@ -87,9 +77,6 @@ let test_dead_shift_zero_policy_flagged () =
   let r = Lint.run o in
   check_bool "zero-policy detour is flagged" true
     (count "redundant-shift" r > 0);
-  check_int "no error-severity findings" 0 r.Lint.errors;
-  check_int "strict escalates warnings" 1 (Lint.exit_code ~strict:true r);
-  check_int "non-strict tolerates warnings" 0 (Lint.exit_code ~strict:false r);
   check_int "the verifier finds nothing to refute" 0
     (List.length (Driver.check_violations o));
   let optimal = compile_with Policy.Optimal in
@@ -135,9 +122,7 @@ let test_witness_dirty_then_clean () =
   check_bool "witness dirt is evidence-backed" true
     (count "dead-vop" dirty > 0 && count "redundant-shift" dirty > 0);
   let clean = Lint.run (witness_outcome ~cleanup:true) in
-  check_bool "cleaned witness lints clean" true (Lint.clean clean);
-  check_int "clean exits 0 even under strict" 0
-    (Lint.exit_code ~strict:true clean)
+  check_bool "cleaned witness lints clean" true (Lint.clean clean)
 
 (* A stream shared across statements is cheap by design, not waste: the
    joint-placement corpus program must not trip the shift rules. *)
@@ -150,7 +135,7 @@ let test_shared_streams_not_flagged () =
   check_bool "program really shares streams" true (o.Driver.shared_streams <> []);
   let r = Lint.run o in
   check_int "no redundant-shift findings" 0 (count "redundant-shift" r);
-  check_int "no error findings" 0 r.Lint.errors
+  check_int "no verifier violations" 0 (List.length (Driver.check_violations o))
 
 (* ------------------------------------------------------------------ *)
 (* Tampered outcomes: the structural rules                             *)
@@ -170,28 +155,13 @@ let test_mask_uniform_fires () =
   in
   let r = Lint.run tampered in
   check_bool "splat mask flagged" true (count "mask-uniform" r > 0);
-  check_bool "mask-uniform is a warning" true
+  check_bool "mask-uniform prints as a warning" true
     (List.for_all
        (fun (f : Lint.finding) ->
-         f.Lint.rule <> "mask-uniform" || f.Lint.severity = Lint.Warning)
+         f.Lint.rule <> "mask-uniform"
+         || String.starts_with ~prefix:"warning body#"
+              (Format.asprintf "%a" Lint.pp_finding f))
        r.Lint.findings)
-
-let test_shift_range_is_an_error () =
-  let o = witness_outcome ~cleanup:true in
-  let a = { Addr.array = "a"; offset = 0; scale = 1 } in
-  let b = { Addr.array = "b"; offset = 1; scale = 1 } in
-  let tampered =
-    tamper_body o
-      [
-        Expr.Store
-          (a, Expr.Shiftpair (Expr.Load a, Expr.Load b, Rexpr.Const 23));
-      ]
-  in
-  let r = Lint.run tampered in
-  check_bool "out-of-range amount flagged" true (count "shift-range" r > 0);
-  check_bool "shift-range findings are errors" true (r.Lint.errors > 0);
-  check_int "errors exit 2 regardless of strict" 2
-    (Lint.exit_code ~strict:false r)
 
 let test_unused_stream_fires () =
   (* a declared stream no lint pass can see used anywhere *)
@@ -211,7 +181,7 @@ let test_unused_stream_fires () =
        r.Lint.findings)
 
 (* ------------------------------------------------------------------ *)
-(* The simd-lint/1 document                                            *)
+(* The simd-lint/2 document                                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_json_shape () =
@@ -219,48 +189,33 @@ let test_json_shape () =
   match Lint.report_to_json r with
   | Json.Obj fields ->
     check_bool "schema tag" true
-      (List.assoc_opt "schema" fields = Some (Json.String "simd-lint/1"));
+      (List.assoc_opt "schema" fields = Some (Json.String "simd-lint/2"));
+    check_bool "top-level keys" true
+      (List.map fst fields = [ "schema"; "findings"; "counts" ]);
     (match List.assoc_opt "counts" fields with
     | Some (Json.Obj counts) ->
-      let keys = List.map fst counts in
-      check_bool "counts cover the registry, zeros included" true
-        (List.sort compare keys
-        = List.sort compare
-            (List.map (fun (r : Lint.rule) -> r.Lint.name) Lint.rules))
+      check_bool "counts cover the registry in order, zeros included" true
+        (List.map fst counts
+        = List.map (fun (r : Lint.rule) -> r.Lint.name) Lint.rules)
     | _ -> Alcotest.fail "counts object missing");
     (match List.assoc_opt "findings" fields with
     | Some (Json.List findings) ->
       check_int "findings serialized 1:1" (List.length r.Lint.findings)
-        (List.length findings)
-    | _ -> Alcotest.fail "findings array missing");
-    check_bool "totals present and consistent" true
-      (List.assoc_opt "errors" fields = Some (Json.Int r.Lint.errors)
-      && List.assoc_opt "warnings" fields = Some (Json.Int r.Lint.warnings)
-      && r.Lint.errors + r.Lint.warnings = List.length r.Lint.findings)
+        (List.length findings);
+      check_bool "each finding is exactly rule, where, detail" true
+        (List.for_all
+           (function
+             | Json.Obj kv -> List.map fst kv = [ "rule"; "where"; "detail" ]
+             | _ -> false)
+           findings)
+    | _ -> Alcotest.fail "findings array missing")
   | _ -> Alcotest.fail "report_to_json must be an object"
 
 (* ------------------------------------------------------------------ *)
-(* Exit codes end-to-end through the CLIs                              *)
+(* Exit codes end-to-end through simdize --lint                        *)
 (* ------------------------------------------------------------------ *)
 
 let command line = Sys.command (line ^ " >/dev/null 2>&1")
-
-let cli_available = Sys.file_exists "../bin/simdlint.exe"
-
-let test_simdlint_exit_codes () =
-  if not cli_available then ()
-  else begin
-    let witness = Filename.concat corpus_dir "cleanup-beats-placed.simd" in
-    check_int "warnings without strict exit 0" 0
-      (command ("../bin/simdlint.exe " ^ witness));
-    check_int "warnings under strict exit 1" 1
-      (command ("../bin/simdlint.exe --strict " ^ witness));
-    check_int "cleanup then strict exits 0" 0
-      (command ("../bin/simdlint.exe --cleanup --strict " ^ witness));
-    check_int "unparseable input exits 2" 2
-      (command "echo 'not a loop' | ../bin/simdlint.exe -");
-    check_int "--rules exits 0" 0 (command "../bin/simdlint.exe --rules")
-  end
 
 let test_simdize_lint_exit_codes () =
   if not (Sys.file_exists "../bin/simdize.exe") then ()
@@ -268,12 +223,17 @@ let test_simdize_lint_exit_codes () =
     (* simdize ignores reproducer headers, so the witness's zero policy
        must be restated on the command line *)
     let witness = Filename.concat corpus_dir "cleanup-beats-placed.simd" in
+    let zero = Filename.concat corpus_dir "dead-shift-zero-policy.simd" in
     check_int "simdize --lint tolerates warnings" 0
       (command ("../bin/simdize.exe " ^ witness ^ " -p zero --lint"));
     check_int "simdize --lint=strict escalates" 1
       (command ("../bin/simdize.exe " ^ witness ^ " -p zero --lint=strict"));
     check_int "simdize --cleanup --lint=strict is clean" 0
-      (command ("../bin/simdize.exe " ^ witness ^ " -p zero --cleanup --lint=strict"))
+      (command ("../bin/simdize.exe " ^ witness ^ " -p zero --cleanup --lint=strict"));
+    check_int "zero-policy detour escalates under strict" 1
+      (command ("../bin/simdize.exe " ^ zero ^ " -p zero --lint=strict"));
+    check_int "unparseable input exits 2" 2
+      (command "echo 'not a loop' | ../bin/simdize.exe - --lint")
   end
 
 let suite =
@@ -291,12 +251,8 @@ let suite =
           test_shared_streams_not_flagged;
         Alcotest.test_case "mask-uniform fires on a splat mask" `Quick
           test_mask_uniform_fires;
-        Alcotest.test_case "shift-range is an error" `Quick
-          test_shift_range_is_an_error;
         Alcotest.test_case "unused-stream fires" `Quick test_unused_stream_fires;
-        Alcotest.test_case "simd-lint/1 document shape" `Quick test_json_shape;
-        Alcotest.test_case "simdlint.exe exit codes" `Quick
-          test_simdlint_exit_codes;
+        Alcotest.test_case "simd-lint/2 document shape" `Quick test_json_shape;
         Alcotest.test_case "simdize --lint exit codes" `Quick
           test_simdize_lint_exit_codes;
       ] );

@@ -209,7 +209,7 @@ let test_dce_removes_dead_chains () =
                         Vir_expr.Temp "live") ];
     ]
   in
-  match Passes.dce segments with
+  match Dataflow.Cleanup.dce_epilogues segments with
   | [ seg1; seg2 ] ->
     check_int "dead chain removed" 1 (List.length seg1);
     check_int "store kept" 1 (List.length seg2)
@@ -222,7 +222,7 @@ let test_dce_keeps_cross_segment_uses () =
       [ Vir_expr.Store ({ Vir_addr.array = "y"; offset = 0; scale = 0 }, Vir_expr.Temp "t") ];
     ]
   in
-  match Passes.dce segments with
+  match Dataflow.Cleanup.dce_epilogues segments with
   | [ [ _ ]; [ _ ] ] -> ()
   | _ -> Alcotest.fail "cross-segment liveness broken"
 
@@ -243,7 +243,7 @@ let test_dce_liveness_is_polynomial () =
   in
   let seg = List.init 20 guard in
   let t0 = Sys.time () in
-  let out = Passes.dce (List.init 60 (fun _ -> seg)) in
+  let out = Dataflow.Cleanup.dce_epilogues (List.init 60 (fun _ -> seg)) in
   check_bool "fast" true (Sys.time () -. t0 < 2.0);
   check_int "segments preserved" 60 (List.length out)
 
@@ -253,7 +253,7 @@ let test_dce_drops_empty_ifs () =
           [ Vir_expr.Assign ("dead", Vir_expr.Load { Vir_addr.array = "x"; offset = 0; scale = 0 }) ],
           []) ] ]
   in
-  match Passes.dce segments with
+  match Dataflow.Cleanup.dce_epilogues segments with
   | [ [] ] -> ()
   | _ -> Alcotest.fail "empty if should disappear"
 

@@ -416,7 +416,14 @@ let test_compile_agrees_with_driver () =
         (text "vir");
       check_string "c output matches driver"
         (Emit_portable.unit o.Driver.prog)
-        (text "c")
+        (text "c");
+      check_string "check document is the driver's"
+        (Json.to_line (Driver.check_to_json o))
+        (Json.to_line a.Serve.Compile.check);
+      check_bool "lint document is simd-lint/2" true
+        (Option.bind (Json.member "schema" a.Serve.Compile.lint)
+           Json.to_string_opt
+        = Some "simd-lint/2")
     | Driver.Scalar _ -> Alcotest.fail "driver declined the sample")
   | _ -> Alcotest.fail "sample did not compile"
 
